@@ -1,14 +1,24 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` throughout, so every operation is
-exact: no rounding ever happens and equality of polynomials is equality of
-their canonical term maps.  Variables come in two indexed families, ``S``
-and ``E`` (power sums of a base multiset and of its k-sum multiset); the
-variable order puts every S before every E, then sorts by index.  Monomials
-are compared in graded lexicographic order on that variable order, which
-fixes a canonical rendering: terms in descending monomial order,
-coefficients printed as ``num/den`` (denominator omitted when 1),
-exponents as ``^k``.
+Every operation is exact: no rounding ever happens and equality of
+polynomials is equality of their canonical forms.  Variables come in two
+indexed families, ``S`` and ``E`` (power sums of a base multiset and of
+its k-sum multiset); the variable order puts every S before every E, then
+sorts by index.  Monomials are compared in graded lexicographic order on
+that variable order, which fixes a canonical rendering: terms in
+descending monomial order, coefficients printed as ``num/den``
+(denominator omitted when 1), exponents as ``^k``.
+
+Representation.  A monomial is one packed int: each variable owns an
+``EXP_BITS``-wide exponent field, S1 in the highest field, then S2, ...,
+S{MAX_INDEX}, E1, ..., E{MAX_INDEX}, and the total degree sits in one more
+field on top.  Plain int order on these keys is the graded lexicographic
+order, and a monomial product is a single int addition.  A polynomial
+holds integer numerators keyed by packed monomials over one shared
+positive denominator, normalised so that the denominator and all
+numerators are coprime; the ``Monomial -> Fraction`` view is built only
+when asked for.  Indices above ``MAX_INDEX`` and degrees above
+``MAX_DEGREE`` raise ``ValueError`` instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
@@ -25,6 +36,20 @@ RationalLike = Union[int, Fraction]
 S_FAMILY = "S"
 E_FAMILY = "E"
 _FAMILY_RANK = {S_FAMILY: 0, E_FAMILY: 1}
+
+MAX_INDEX = 64
+"""Largest variable index in each family."""
+
+EXP_BITS = 8
+"""Width of each packed exponent field and of the degree field."""
+
+MAX_DEGREE = (1 << EXP_BITS) - 1
+"""Largest total degree of a monomial; no single exponent can exceed it."""
+
+_SLOTS = len(_FAMILY_RANK) * MAX_INDEX
+_EXP_MASK = MAX_DEGREE
+_DEGREE_SHIFT = _SLOTS * EXP_BITS
+_BODY_MASK = (1 << _DEGREE_SHIFT) - 1
 
 
 class UnboundVariableError(KeyError):
@@ -42,8 +67,8 @@ class Var:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_RANK:
             raise ValueError(f"unknown variable family {self.family!r}")
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+        if not 1 <= self.index <= MAX_INDEX:
+            raise ValueError(f"variable index must be in 1..{MAX_INDEX}, got {self.index}")
 
     def sort_key(self) -> tuple[int, int]:
         return (_FAMILY_RANK[self.family], self.index)
@@ -66,6 +91,37 @@ def evar(index: int) -> Var:
     return Var(E_FAMILY, index)
 
 
+# Slot s (0 for S1, MAX_INDEX for E1) holds its exponent at bit
+# _SHIFTS[s]; _UNITS[s] is the packed key of the bare variable.
+_VARS = [Var(family, i) for family in _FAMILY_RANK for i in range(1, MAX_INDEX + 1)]
+_SHIFTS = [(_SLOTS - 1 - s) * EXP_BITS for s in range(_SLOTS)]
+_UNITS = [(1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS]
+
+
+def _slot(var: Var) -> int:
+    return _FAMILY_RANK[var.family] * MAX_INDEX + var.index - 1
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+
+
+def _checked(key: int) -> int:
+    _check_degree(key >> _DEGREE_SHIFT)
+    return key
+
+
+def _fields(key: int) -> Iterator[tuple[int, int]]:
+    """(slot, exponent) for every variable of a packed key, S1 first."""
+    body = key & _BODY_MASK
+    while body:
+        field = (body.bit_length() - 1) // EXP_BITS
+        exp = body >> (field * EXP_BITS)
+        body -= exp << (field * EXP_BITS)
+        yield _SLOTS - 1 - field, exp
+
+
 @total_ordering
 class Monomial:
     """A product of variable powers; zero exponents are never stored.
@@ -75,59 +131,55 @@ class Monomial:
     larger exponent on the earlier variable winning.
     """
 
-    __slots__ = ("pairs", "degree", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, exponents: Mapping[Var, int] | Iterable[tuple[Var, int]] = ()):
-        items = dict(exponents)
-        for var, exp in items.items():
+        key = 0
+        for var, exp in dict(exponents).items():
             if exp < 0:
                 raise ValueError(f"negative exponent {exp} for {var}")
-        self.pairs: tuple[tuple[Var, int], ...] = tuple(
-            sorted(((v, e) for v, e in items.items() if e > 0), key=lambda p: p[0].sort_key())
-        )
-        self.degree: int = sum(e for _, e in self.pairs)
-        self._hash = hash(self.pairs)
+            key += exp * _UNITS[_slot(var)]
+        self.key: int = _checked(key)
+
+    @classmethod
+    def _of(cls, key: int) -> "Monomial":
+        mono = object.__new__(cls)
+        mono.key = key
+        return mono
+
+    @property
+    def degree(self) -> int:
+        return self.key >> _DEGREE_SHIFT
+
+    @property
+    def pairs(self) -> tuple[tuple[Var, int], ...]:
+        return tuple((_VARS[slot], exp) for slot, exp in _fields(self.key))
 
     def exponent(self, var: Var) -> int:
-        for v, e in self.pairs:
-            if v == var:
-                return e
-        return 0
+        return (self.key >> _SHIFTS[_slot(var)]) & _EXP_MASK
 
     def variables(self) -> tuple[Var, ...]:
-        return tuple(v for v, _ in self.pairs)
+        return tuple(_VARS[slot] for slot, _ in _fields(self.key))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.pairs)
-        for v, e in other.pairs:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
+        return Monomial._of(_checked(self.key + other.key))
 
     def __pow__(self, n: int) -> "Monomial":
         if n < 0:
             raise ValueError("negative monomial power")
-        return Monomial({v: e * n for v, e in self.pairs})
+        return Monomial._of(_checked(self.key * n))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.pairs == other.pairs
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __lt__(self, other: "Monomial") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        mine = dict(self.pairs)
-        theirs = dict(other.pairs)
-        for var in sorted(set(mine) | set(theirs)):
-            a, b = mine.get(var, 0), theirs.get(var, 0)
-            if a != b:
-                # higher exponent on the earlier variable => larger monomial
-                return a < b
-        return False
+        return self.key < other.key
 
     def __str__(self) -> str:
-        if not self.pairs:
+        if not self.key:
             return "1"
         return "*".join(f"{v}^{e}" if e > 1 else str(v) for v, e in self.pairs)
 
@@ -135,79 +187,114 @@ class Monomial:
         return f"Monomial({self})"
 
 
-_EMPTY_MONOMIAL = Monomial()
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Numerators of the product of two numerator maps."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return out
+
+
+def _top_degree(num: dict[int, int]) -> int:
+    return max(num) >> _DEGREE_SHIFT if num else 0
 
 
 class Poly:
-    """A sparse polynomial: a canonical map from monomials to nonzero rationals.
+    """A sparse polynomial: integer numerators on packed monomials over one
+    shared denominator, in lowest terms.
 
-    Instances are immutable by convention; all operators return new objects.
-    The zero polynomial has an empty term map.
+    Instances are immutable; all operators return new objects.  The zero
+    polynomial has no terms and denominator 1.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_terms", "_decoded")
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
-        canonical: dict[Monomial, Fraction] = {}
-        for mono, coeff in dict(terms).items():
-            q = Fraction(coeff)
-            if q:
-                canonical[mono] = q
-        self.terms: dict[Monomial, Fraction] = canonical
+        items = [(mono.key, Fraction(coeff)) for mono, coeff in dict(terms).items()]
+        den = lcm(*(q.denominator for _, q in items))
+        self._set({k: q.numerator * (den // q.denominator) for k, q in items}, den)
+
+    def _set(self, num: dict[int, int], den: int) -> None:
+        """Take ownership of ``num``; drop zeros and reduce to lowest terms."""
+        if 0 in num.values():
+            for k in [k for k, v in num.items() if not v]:
+                del num[k]
+        g = 1 if den == 1 else gcd(den, *num.values()) if num else den
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+        self._num = num
+        self._den = den
+        self._terms: dict[Monomial, Fraction] | None = None
+        self._decoded: tuple | None = None
+
+    @classmethod
+    def _make(cls, num: dict[int, int], den: int) -> "Poly":
+        poly = object.__new__(cls)
+        poly._set(num, den)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._make({}, 1)
 
     @classmethod
     def const(cls, value: RationalLike) -> "Poly":
-        return cls({_EMPTY_MONOMIAL: Fraction(value)})
+        q = Fraction(value)
+        return cls._make({0: q.numerator}, q.denominator)
 
     @classmethod
     def variable(cls, var: Var) -> "Poly":
-        return cls({Monomial({var: 1}): Fraction(1)})
+        return cls._make({_UNITS[_slot(var)]: 1}, 1)
 
     @classmethod
     def term(cls, coeff: RationalLike, exponents: Mapping[Var, int]) -> "Poly":
-        return cls({Monomial(exponents): Fraction(coeff)})
+        q = Fraction(coeff)
+        return cls._make({Monomial(exponents).key: q.numerator}, q.denominator)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The ``Monomial -> Fraction`` view, built on first use."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {Monomial._of(k): Fraction(v, den) for k, v in self._num.items()}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, exponents: Monomial | Mapping[Var, int]) -> Fraction:
         mono = exponents if isinstance(exponents, Monomial) else Monomial(exponents)
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self._num.get(mono.key, 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_EMPTY_MONOMIAL, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+        return _top_degree(self._num) if self._num else -1
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for mono in self.terms:
-            out.update(mono.variables())
-        return out
+        return {_VARS[slot] for slot in self._decoded_terms()[1]}
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms.items())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
+            other = Poly.const(other)
+        if isinstance(other, Poly):
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -222,35 +309,40 @@ class Poly:
             return Poly.const(value)
         raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the common denominator."""
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        out = dict(self._num) if fa == 1 else {k: v * fa for k, v in self._num.items()}
+        get = out.get
+        for k, v in other._num.items():
+            out[k] = get(k, 0) + v * fb
+        return Poly._make(out, den)
+
     def __add__(self, other: "Poly" | RationalLike) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(out)
+        return self._combine(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._make({k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly" | RationalLike) -> "Poly":
-        return self + (-self._coerce(other))
+        return self._combine(self._coerce(other), -1)
 
     def __rsub__(self, other: "Poly" | RationalLike) -> "Poly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._combine(self, -1)
+
+    def _scaled(self, q: Fraction) -> "Poly":
+        n = q.numerator
+        return Poly._make({k: v * n for k, v in self._num.items()}, self._den * q.denominator)
 
     def __mul__(self, other: "Poly" | RationalLike) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Poly({m: c * q for m, c in self.terms.items()})
+            return self._scaled(Fraction(other))
         other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+        _check_degree(_top_degree(self._num) + _top_degree(other._num))
+        return Poly._make(_product(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -258,72 +350,128 @@ class Poly:
         q = Fraction(scalar)
         if not q:
             raise ZeroDivisionError("polynomial division by zero scalar")
-        return self * (1 / q)
+        return self._scaled(1 / q)
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
-        result = Poly.const(1)
-        base = self
+        if n and self._num:
+            _check_degree(_top_degree(self._num) * n)
+        num, den = {0: 1}, 1
+        base, base_den = self._num, self._den
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                num, den = _product(num, base), den * base_den
             n >>= 1
-        return result
+            if n:
+                base, base_den = _product(base, base), base_den * base_den
+        return Poly._make(num, den)
 
     # -- substitution and evaluation ---------------------------------------
 
     def substitute(self, bindings: Mapping[Var, "Poly" | RationalLike]) -> "Poly":
         """Replace bound variables by polynomials and re-expand.
 
-        Unbound variables pass through unchanged.
+        Unbound variables pass through unchanged.  The image of each
+        distinct bound part of a monomial is expanded once; the terms are
+        summed over a common denominator that widens only when needed.
         """
-        coerced = {v: self._coerce(p) for v, p in bindings.items()}
-        power_cache: dict[tuple[Var, int], Poly] = {}
+        bound = {_slot(v): self._coerce(p) for v, p in bindings.items()}
+        mask = 0
+        for slot in bound:
+            mask |= _EXP_MASK << _SHIFTS[slot]
+        powers: dict[tuple[int, int], Poly] = {}
+        # bound part -> (image numerators, image denominator, what the
+        # passthrough part is short of the full key, image degree)
+        images: dict[int, tuple[dict[int, int], int, int, int]] = {0: ({0: 1}, 1, 0, 0)}
+        acc: dict[int, int] = {}
+        acc_den = 1
+        get = acc.get
+        for key, coeff in self._num.items():
+            part = key & mask
+            image = images.get(part)
+            if image is None:
+                num, den, degree = {0: 1}, 1, 0
+                for field in _fields(part):
+                    if field not in powers:
+                        powers[field] = bound[field[0]] ** field[1]
+                    p = powers[field]
+                    num, den = _product(num, p._num), den * p._den
+                    degree += field[1]
+                image = images[part] = (num, den, part + (degree << _DEGREE_SHIFT), _top_degree(num))
+            num, den, offset, degree = image
+            if not num:
+                continue
+            rest = key - offset
+            _check_degree((rest >> _DEGREE_SHIFT) + degree)
+            if acc_den % den:
+                wider = lcm(acc_den, den)
+                factor = wider // acc_den
+                for k in acc:
+                    acc[k] *= factor
+                acc_den = wider
+            mult = coeff * (acc_den // den)
+            for k, v in num.items():
+                k += rest
+                acc[k] = get(k, 0) + v * mult
+        return Poly._make(acc, acc_den * self._den)
 
-        def bound_power(var: Var, exp: int) -> Poly:
-            key = (var, exp)
-            if key not in power_cache:
-                power_cache[key] = coerced[var] ** exp
-            return power_cache[key]
-
-        total = Poly.zero()
-        for mono, coeff in self.terms.items():
-            factor = Poly.const(coeff)
-            passthrough: dict[Var, int] = {}
-            for var, exp in mono.pairs:
-                if var in coerced:
-                    factor = factor * bound_power(var, exp)
-                else:
-                    passthrough[var] = exp
-            if passthrough:
-                factor = factor * Poly.term(1, passthrough)
-            total = total + factor
-        return total
+    def _decoded_terms(self) -> tuple[list[tuple[int, int, tuple[int, ...]]], list[int]]:
+        """(numerator, degree, codes) per term, where a code is
+        ``slot << EXP_BITS | exp``, and the slots of all variables."""
+        if self._decoded is None:
+            terms = [
+                (v, k >> _DEGREE_SHIFT, tuple(slot << EXP_BITS | exp for slot, exp in _fields(k)))
+                for k, v in self._num.items()
+            ]
+            union = 0
+            for key in self._num:
+                union |= key
+            self._decoded = (terms, [slot for slot, _ in _fields(union)])
+        return self._decoded
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
-        """Exact value of the polynomial; every variable must be bound."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for var, exp in mono.pairs:
-                if var not in values:
-                    raise UnboundVariableError(f"no value bound for {var}")
-                term *= Fraction(values[var]) ** exp
-            total += term
-        return total
+        """Exact value of the polynomial; every variable must be bound.
+
+        The values are brought to one denominator ``scale`` and the sum
+        runs over ints, with one power table per call.  A degree-d term
+        carries ``scale**d`` in its denominator, so the terms are summed
+        per degree first.
+        """
+        terms, slots = self._decoded_terms()
+        if not terms:
+            return Fraction(0)
+        bound: dict[int, Fraction] = {}
+        for slot in slots:
+            var = _VARS[slot]
+            if var not in values:
+                raise UnboundVariableError(f"no value bound for {var}")
+            bound[slot] = Fraction(values[var])
+        scale = lcm(*(q.denominator for q in bound.values()))
+        ints = {slot: q.numerator * (scale // q.denominator) for slot, q in bound.items()}
+        powers: dict[int, int] = {}
+        by_degree: dict[int, int] = {}
+        for num, degree, codes in terms:
+            for code in codes:
+                p = powers.get(code)
+                if p is None:
+                    p = powers[code] = ints[code >> EXP_BITS] ** (code & _EXP_MASK)
+                num *= p
+            by_degree[degree] = by_degree.get(degree, 0) + num
+        top = max(by_degree)
+        total = sum(s * scale ** (top - d) for d, s in by_degree.items())
+        return Fraction(total, self._den * scale**top)
 
     # -- rendering and parsing ---------------------------------------------
 
     def render(self) -> str:
         """Canonical text form, terms in descending monomial order."""
-        if not self.terms:
+        if not self._num:
             return "0"
         chunks: list[str] = []
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            magnitude = _term_text(mono, abs(coeff))
+        for key in sorted(self._num, reverse=True):
+            coeff = Fraction(self._num[key], self._den)
+            magnitude = _term_text(Monomial._of(key), abs(coeff))
             if not chunks:
                 chunks.append(magnitude if coeff > 0 else f"-{magnitude}")
             else:
@@ -339,7 +487,7 @@ class Poly:
 
 
 def _term_text(mono: Monomial, coeff: Fraction) -> str:
-    if not mono.pairs:
+    if not mono.key:
         return str(coeff)
     if coeff == 1:
         return str(mono)
@@ -364,7 +512,7 @@ def _parse_poly(text: str) -> Poly:
     if not tokens:
         raise ValueError("empty polynomial text")
 
-    result = Poly.zero()
+    terms: dict[Monomial, Fraction] = {}
     i = 0
     n = len(tokens)
     while i < n:
@@ -384,6 +532,8 @@ def _parse_poly(text: str) -> Poly:
                 var = Var(tok[0], int(tok[1:]))
                 exp = 1
                 if i + 1 < n and tokens[i + 1] == "^":
+                    if i + 2 >= n or not tokens[i + 2].isdigit():
+                        raise ValueError(f"integer exponent expected after {tok}^")
                     exp = int(tokens[i + 2])
                     i += 2
                 exponents[var] = exponents.get(var, 0) + exp
@@ -397,8 +547,9 @@ def _parse_poly(text: str) -> Poly:
             break
         if not saw_factor:
             raise ValueError("empty term in polynomial text")
-        result = result + Poly.term(sign * coeff, exponents)
-    return result
+        mono = Monomial(exponents)
+        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
+    return Poly(terms)
 
 
 def parse_rational(text: str) -> Fraction:

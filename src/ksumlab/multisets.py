@@ -48,7 +48,11 @@ def parse_multiset(text: str) -> NumberMultiset:
         count = int(match.group(2)) if match.group(2) else 1
         if count < 1:
             raise ValueError(f"bad multiplicity in {token!r}")
-        values.extend([Fraction(match.group(1))] * count)
+        try:
+            value = Fraction(match.group(1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
+        values.extend([value] * count)
     if not values:
         raise ValueError("empty multiset literal")
     return as_multiset(values)

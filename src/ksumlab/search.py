@@ -16,11 +16,12 @@ line per finished chunk and lets an interrupted run resume.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from multiprocessing import Pool
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .multisets import (
     NumberMultiset,
@@ -105,7 +106,7 @@ def _encode_chunk(chunk_id: int, pairs: list[tuple[NumberMultiset, tuple[Fractio
     return json.dumps({"chunk": chunk_id, "items": items})
 
 
-def _decode_chunk(line: str) -> tuple[int, list[tuple[NumberMultiset, tuple[Fraction, ...]]]]:
+def _decode_chunk(line: str | bytes) -> tuple[int, list[tuple[NumberMultiset, tuple[Fraction, ...]]]]:
     data = json.loads(line)
     pairs = [
         (tuple(Fraction(v) for v in cand), tuple(Fraction(v) for v in key))
@@ -116,24 +117,47 @@ def _decode_chunk(line: str) -> tuple[int, list[tuple[NumberMultiset, tuple[Frac
 
 def _load_checkpoint(path: str, spec: SearchSpec) -> tuple[dict[int, list], bool]:
     """Completed chunks from a checkpoint file, plus whether a valid header
-    line is already present."""
+    line is already present.
+
+    An undecodable last line is the torn tail of an interrupted write: it
+    is cut off the file, so the next append starts on a fresh line, and its
+    chunk is computed again.  Any other undecodable line is an error.
+    """
     done: dict[int, list] = {}
     try:
-        handle: IO[str] = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except FileNotFoundError:
         return done, False
+    intact = 0  # bytes of decodable lines before the current one
+    complete = True  # whether the last decodable line ends in a newline
     with handle:
-        first = handle.readline()
-        if not first:
-            return done, False
-        header = json.loads(first).get("header")
-        if header != _checkpoint_header(spec):
-            raise ValueError(f"checkpoint {path} was written for a different search")
-        for line in handle:
-            if line.strip():
-                chunk_id, pairs = _decode_chunk(line)
+        line, number = handle.readline(), 1
+        while line:
+            following = handle.readline()
+            try:
+                if number == 1:
+                    entry = json.loads(line).get("header")
+                else:
+                    entry = _decode_chunk(line) if line.strip() else None
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                if following:
+                    raise ValueError(f"checkpoint {path} line {number} is corrupt: {exc}") from None
+                break
+            if number == 1:
+                if entry != _checkpoint_header(spec):
+                    raise ValueError(f"checkpoint {path} was written for a different search")
+            elif entry is not None:
+                chunk_id, pairs = entry
                 done[chunk_id] = pairs
-    return done, True
+            intact += len(line)
+            complete = line.endswith(b"\n")
+            line, number = following, number + 1
+    if line:
+        os.truncate(path, intact)
+    elif not complete:
+        with open(path, "ab") as out:
+            out.write(b"\n")
+    return done, intact > 0
 
 
 def find_collisions(

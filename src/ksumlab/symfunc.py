@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .algebra import Poly, RationalLike, Var, svar
@@ -49,18 +49,24 @@ def composition(parts: Iterable[int]) -> Composition:
 def monomial_power_sum_direct(a: NumberMultiset, parts: Iterable[int]) -> Fraction:
     """Sum over all ordered tuples of distinct indices of the prescribed powers.
 
-    The brute-force ground truth that anchors the symbolic layer.
+    The brute-force ground truth that anchors the symbolic layer.  It runs
+    over ints: the elements are scaled by the lcm of their denominators,
+    so the sum carries that scale to the power ``sum(parts)``.
     """
     c = composition(parts)
     if len(c) > len(a):
         raise TooManyPartsError(f"{len(c)} parts but only {len(a)} elements")
-    total = Fraction(0)
-    for chosen in permutations(a, len(c)):
-        term = Fraction(1)
-        for value, exp in zip(chosen, c):
-            term *= value ** exp
+    values = [Fraction(v) for v in a]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    columns = [[x**exp for x in ints] for exp in c]
+    total = 0
+    for chosen in permutations(range(len(ints)), len(c)):
+        term = 1
+        for column, i in zip(columns, chosen):
+            term *= column[i]
         total += term
-    return total
+    return Fraction(total, scale ** sum(c))
 
 
 @lru_cache(maxsize=None)

@@ -192,3 +192,9 @@ def test_coefficients_stay_canonical(p):
         assert coeff != 0
         assert coeff.denominator > 0
         assert gcd(coeff.numerator, coeff.denominator) == 1
+
+
+def test_parse_rejects_bad_exponents():
+    for bad in ("S2^", "3*S2^ + 1", "S2^1/2", "S2^-1"):
+        with pytest.raises(ValueError):
+            Poly.parse(bad)

@@ -43,6 +43,21 @@ def test_ksums_parse_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ksums", "1 2 1/0", "-k", "2"),
+        ("collide", "1 2 1/0", "1 2 3", "-k", "2"),
+        ("collide", "1 2 3", "0/0 1 2", "-k", "2"),
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_ksums_json_round_trips(capsys):
     code, out, _ = run(capsys, "ksums", "1/2 1/2 1", "-k", "2", "--json")
     assert code == 0
@@ -119,6 +134,15 @@ def test_expand_fixture_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "expand", "2", "--check-fixtures")
     assert code == 1
     assert "coef(S2) = 120 [expected 121] MISMATCH" in out
+
+
+def test_expand_rejects_malformed_fixture(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("E2 = 120*S2^\n")
+    monkeypatch.setenv("KSUMLAB_FIXTURES", str(bad))
+    code, out, err = run(capsys, "expand", "2", "--check-fixtures")
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot load fixtures")
 
 
 def test_eliminate_verify_coefficients(capsys):
@@ -219,6 +243,35 @@ def test_search_resume_checkpoint(tmp_path, capsys):
         capsys, "search", "-n", "4", "-k", "2", "-B", "6", "--resume", str(ck)
     )
     assert out_a == out_b
+
+
+def test_search_resumes_over_torn_checkpoint_tail(tmp_path, capsys):
+    argv = ["search", "-n", "8", "-k", "2", "-B", "8", "--symmetric"]
+    ck, fresh, resumed = tmp_path / "ck.jsonl", tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+    code, _, _ = run(capsys, *argv, "--resume", str(ck), "--out", str(fresh))
+    assert code == 0
+    complete = ck.read_bytes()
+    lines = complete.splitlines(keepends=True)
+    assert len(lines) >= 3  # header and at least two chunks
+    torn = complete[: len(complete) - len(lines[-1]) // 2]  # cut the last chunk mid-line
+    ck.write_bytes(torn)
+    code, _, _ = run(capsys, *argv, "--resume", str(ck), "--out", str(resumed))
+    assert code == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert ck.read_bytes() == complete
+
+
+def test_search_rejects_corrupt_checkpoint(tmp_path, capsys):
+    argv = ["search", "-n", "8", "-k", "2", "-B", "8", "--symmetric", "--resume"]
+    ck = tmp_path / "ck.jsonl"
+    run(capsys, *argv, str(ck))
+    lines = ck.read_bytes().splitlines(keepends=True)
+    ck.write_bytes(lines[0] + lines[1][:40] + b"\n" + b"".join(lines[2:]))
+    code, out, err = run(capsys, *argv, str(ck))
+    assert code == 2 and out == "" and "line 2 is corrupt" in err
+    ck.write_bytes(lines[0].replace(b'"bound": 8', b'"bound": 7') + b"".join(lines[1:]))
+    code, out, err = run(capsys, *argv, str(ck))
+    assert code == 2 and out == "" and "different search" in err
 
 
 def test_unknown_subcommand_exits_two():

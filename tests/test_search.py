@@ -161,3 +161,24 @@ def test_checkpoint_spec_mismatch(tmp_path):
     find_collisions(SearchSpec(n=4, k=2, bound=5), checkpoint=str(ck))
     with pytest.raises(ValueError):
         find_collisions(SearchSpec(n=4, k=2, bound=6), checkpoint=str(ck))
+
+
+def test_checkpoint_tail_repair(tmp_path):
+    spec = SearchSpec(n=8, k=2, bound=8, symmetric_only=True)
+    ck = tmp_path / "progress.jsonl"
+    fresh = find_collisions(spec, checkpoint=str(ck))
+    complete = ck.read_bytes()
+    assert complete.count(b"\n") >= 3
+    # a complete last line that lost only its newline gets it back
+    ck.write_bytes(complete[:-1])
+    assert find_collisions(spec, checkpoint=str(ck)) == fresh
+    assert ck.read_bytes() == complete
+    # a torn header is the whole file's torn tail: the run starts over
+    ck.write_bytes(complete[:10])
+    assert find_collisions(spec, checkpoint=str(ck)) == fresh
+    assert ck.read_bytes() == complete
+    # a corrupt line before the last one is an error
+    first, second, *rest = complete.splitlines(keepends=True)
+    ck.write_bytes(first + second[:30] + b"\n" + b"".join(rest))
+    with pytest.raises(ValueError, match="line 2 is corrupt"):
+        find_collisions(spec, checkpoint=str(ck))

@@ -1,5 +1,6 @@
 """Symmetric-function machinery: monomial power sums, reductions, E_p."""
 
+import hashlib
 import random
 from fractions import Fraction
 from importlib import resources
@@ -195,3 +196,25 @@ def test_bundled_fixture_file_is_current():
     assert sorted(table) == list(range(1, 15))
     regenerated = load_identity_fixtures(identity_fixture_lines(pmax=14))
     assert table == regenerated
+
+
+# sha256 of the newline-joined renders, recorded from the Fraction-keyed
+# kernel that the packed kernel replaced; any change in a coefficient, a
+# term or the term order changes them.
+RENDER_DIGESTS = {
+    "e_expansion_s1_free": "4cc76741af333846e3c9ae477ad1ea32e2bf82b553d31a87d152f7edcab3cc58",
+    "e_expansion_s1_zero": "abd217ef8c979c7e8648e6c749999f1ea9f63984cddd3ac0e90299d37f13858b",
+    "macmahon_reduce": "63a4625a1fadaf49b118c1fedbf82c6added02f3e897cbdc0652634feef6eaf2",
+}
+
+
+def test_renders_match_pinned_digests():
+    def digest(polys):
+        return hashlib.sha256("\n".join(p.render() for p in polys).encode()).hexdigest()
+
+    got = {
+        "e_expansion_s1_free": digest(e_expansion(p, 4, 12, False) for p in range(1, 27)),
+        "e_expansion_s1_zero": digest(e_expansion(p, 4, 12, True) for p in range(1, 27)),
+        "macmahon_reduce": digest(macmahon_reduce(m, 12) for m in range(13, 27)),
+    }
+    assert got == RENDER_DIGESTS
