@@ -284,6 +284,17 @@ class Poly:
     def variables(self) -> set[Var]:
         return {_VARS[slot] for slot in self._decoded_terms()[1]}
 
+    def collect(self, var: Var) -> dict[int, "Poly"]:
+        """Split by powers of ``var``: ``{e: c_e}`` with ``self`` equal to the
+        sum of ``c_e * var**e``, no ``c_e`` containing ``var`` and none zero."""
+        slot = _slot(var)
+        shift, unit = _SHIFTS[slot], _UNITS[slot]
+        parts: dict[int, dict[int, int]] = {}
+        for key, v in self._num.items():
+            exp = (key >> shift) & _EXP_MASK
+            parts.setdefault(exp, {})[key - exp * unit] = v
+        return {exp: Poly._make(num, self._den) for exp, num in parts.items()}
+
     def __len__(self) -> int:
         return len(self._num)
 

@@ -41,6 +41,7 @@ from .search import SearchSpec, find_collisions
 from .symfunc import (
     BadRangeError,
     e_expansion,
+    e_power_sums,
     load_identity_fixtures,
 )
 
@@ -187,8 +188,6 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
         return OK if all_ok else NEGATIVE
 
     if args.example1:
-        from .symfunc import e_power_sums
-
         evalues = e_power_sums(DOUBLE_ROOT_SET, 4, 14)
         a, b, c = quadratic_at(evalues)
         roots = solve_quadratic(a, b, c)
@@ -224,16 +223,14 @@ def _json_number(value: Fraction):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    sink = sys.stdout
     try:
         spec = SearchSpec(
             n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric
         )
+        if args.out:
+            sink = open(args.out, "w", encoding="utf-8")
         records = find_collisions(spec, workers=args.workers, checkpoint=args.resume)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
         for record in records:
             line = json.dumps(
                 {
@@ -243,6 +240,9 @@ def cmd_search(args: argparse.Namespace) -> int:
                 }
             )
             print(line, file=sink)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     finally:
         if sink is not sys.stdout:
             sink.close()

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Mapping
 
-from .algebra import Monomial, Poly, Var, evar, svar
+from .algebra import Poly, Var, evar, svar
 from .multisets import PowerSumVector
 from .symfunc import BadRangeError, e_expansion, newton_extend, reduce_high_powers
 
@@ -61,24 +61,21 @@ class EliminationTables:
     assumes_s1_zero: bool = True
 
 
+def _solve_linear(poly: Poly, var: Var, label: str) -> Poly:
+    """Solve poly = 0 for ``var``, in which it must be linear with a constant coefficient."""
+    parts = poly.collect(var)
+    coeff = parts.pop(1, Poly.zero())
+    if parts.keys() - {0} or coeff.degree() > 0:
+        raise NonLinearPivotError(f"{label} is not linear in {var}")
+    if coeff.is_zero():
+        raise NonLinearPivotError(f"{label} has no {var} term")
+    return -parts.get(0, Poly.zero()) / coeff.constant_term()
+
+
 def _solve_pivot(p: int, bindings: dict[Var, Poly]) -> Poly:
     """Solve equation p for S_p, substituting previously solved variables."""
-    equation = identity_poly(p)
-    pivot = svar(p)
-    pivot_coeff = Fraction(0)
-    rest = Poly.zero()
-    for mono, coeff in equation:
-        exp = mono.exponent(pivot)
-        if exp == 0:
-            rest = rest + Poly({mono: coeff})
-        elif exp == 1 and mono.degree == 1:
-            pivot_coeff = coeff
-        else:
-            raise NonLinearPivotError(f"equation {p} is not linear in {pivot}")
-    if not pivot_coeff:
-        raise NonLinearPivotError(f"equation {p} has no {pivot} term")
-    solved = (Poly.variable(evar(p)) - rest) / pivot_coeff
-    return solved.substitute(bindings)
+    equation = identity_poly(p) - Poly.variable(evar(p))
+    return _solve_linear(equation, svar(p), f"equation {p}").substitute(bindings)
 
 
 @lru_cache(maxsize=None)
@@ -112,21 +109,20 @@ class QuadraticInS6:
     c0: Poly
 
 
+def _powers_of_s6(p: int) -> dict[int, Poly]:
+    """Reduced equation p with the tables substituted, split by powers of S_6."""
+    tables = build_elimination_tables()
+    bindings = {svar(q): expr for q, expr in (*tables.low.items(), *tables.high.items())}
+    return reduced_identity_poly(p).substitute(bindings).collect(svar(6))
+
+
 @lru_cache(maxsize=None)
 def fourteenth_quadratic() -> QuadraticInS6:
-    tables = build_elimination_tables()
-    bindings: dict[Var, Poly] = {svar(p): expr for p, expr in tables.low.items()}
-    bindings.update({svar(p): expr for p, expr in tables.high.items()})
-    substituted = reduced_identity_poly(14).substitute(bindings)
-    pivot = svar(6)
-    collected = {0: Poly.zero(), 1: Poly.zero(), 2: Poly.zero()}
-    for mono, coeff in substituted:
-        exp = mono.exponent(pivot)
-        if exp > 2:
-            raise NonLinearPivotError("fourteenth equation has degree > 2 in S6")
-        remainder = Monomial({v: e for v, e in mono.pairs if v != pivot})
-        collected[exp] = collected[exp] + Poly({remainder: coeff})
-    return QuadraticInS6(c2=collected[2], c1=collected[1], c0=collected[0])
+    parts = _powers_of_s6(14)
+    if max(parts, default=0) > 2:
+        raise NonLinearPivotError("fourteenth equation has degree > 2 in S6")
+    zero = Poly.zero()
+    return QuadraticInS6(c2=parts.get(2, zero), c1=parts.get(1, zero), c0=parts.get(0, zero))
 
 
 # Reference coefficients the generated quadratic must reproduce exactly.
@@ -202,43 +198,37 @@ def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ..
     return tuple(sorted(((-b - root) / (2 * a), (-b + root) / (2 * a))))
 
 
-_SECOND_ROOT = {
-    "S2^3": Fraction(-556877605, 796368672),
-    "S3^2": Fraction(562115611087, 46487926782),
-    "S2*S4": Fraction(762093077, 66364056),
-    "S6": Fraction(-1990577, 47223),
-    "S3*S5/S2": Fraction(-4217456129563, 116219816955),
-    "S4^2/S2": Fraction(-14623247, 1301256),
-    "S8/S2": Fraction(2359787, 31482),
-}
+def _vieta_partner(evalues: Mapping[Var, Fraction], s6: Fraction) -> Fraction:
+    """The other root -c1/c2 - S_6 of the S_6 quadratic at these E-values."""
+    quad = fourteenth_quadratic()
+    return -quad.c1.evaluate(evalues) / quad.c2.evaluate(evalues) - s6
 
 
 def second_root(s: PowerSumVector) -> Fraction:
     """The other root of the S_6 quadratic, from the power sums of one
-    realizing multiset (S_1 = 0, S_2 nonzero): closed form in S_2..S_8."""
+    realizing multiset (S_1 = 0, S_2 nonzero): by Vieta, at the E-values
+    the identities give for S_2..S_8."""
     _require_zero_s1(s, upto=8)
     if s[2] == 0:
         raise ZeroDivisionError("second root undefined when S_2 = 0")
-    return (
-        _SECOND_ROOT["S2^3"] * s[2] ** 3
-        + _SECOND_ROOT["S3^2"] * s[3] ** 2
-        + _SECOND_ROOT["S2*S4"] * s[2] * s[4]
-        + _SECOND_ROOT["S6"] * s[6]
-        + _SECOND_ROOT["S3*S5/S2"] * s[3] * s[5] / s[2]
-        + _SECOND_ROOT["S4^2/S2"] * s[4] ** 2 / s[2]
-        + _SECOND_ROOT["S8/S2"] * s[8] / s[2]
-    )
+    values = {svar(p): s[p] for p in range(2, 9)}
+    evalues = {evar(i): identity_poly(i).evaluate(values) for i in range(2, 9)}
+    return _vieta_partner(evalues, s[6])
+
+
+@lru_cache(maxsize=None)
+def _s7_condition() -> Poly:
+    s6_coeff = _powers_of_s6(13).get(1, Poly.zero())
+    in_s = s6_coeff.substitute({v: identity_poly(v.index) for v in s6_coeff.variables()})
+    return _solve_linear(in_s, svar(7), "the S6 coefficient of equation 13")
 
 
 def s7_linear_condition(s: PowerSumVector) -> Fraction:
     """Predicted S_7 when the thirteenth equation's S_6 coefficient vanishes,
-    the degenerate situation that every two-root solution must satisfy."""
+    the degenerate situation that every two-root solution must satisfy;
+    that coefficient, written in S_2..S_7, is solved for S_7 once."""
     _require_zero_s1(s, upto=5)
-    return (
-        Fraction(-1494661249487, 4501080325368) * s[3] * s[2] ** 2
-        + Fraction(217002961, 417230286) * s[2] * s[5]
-        + Fraction(3678199, 2599908) * s[3] * s[4]
-    )
+    return _s7_condition().evaluate({svar(p): s[p] for p in range(2, 6)})
 
 
 def residual_equation_indices(pmax: int = 26) -> tuple[int, ...]:
@@ -265,7 +255,7 @@ def residual_relations(s: PowerSumVector, pmax: int = 26) -> list[Fraction]:
     evalues = {evar(i): identity_poly(i).evaluate(first_values) for i in range(1, pmax + 1)}
 
     tables = build_elimination_tables()
-    s6_second = second_root(s)
+    s6_second = _vieta_partner(evalues, s[6])
     dual12: list[Fraction] = [Fraction(0)]  # S_1
     for p in range(2, 13):
         if p == 6:

@@ -89,8 +89,14 @@ def ksums(a: NumberMultiset, k: int) -> SumMultiset:
     n = len(a)
     if not 1 <= k <= n:
         raise BadKError(f"k must be in 1..{n}, got {k}")
-    sums = sorted(sum(combo) for combo in combinations(a, k))
-    return SumMultiset(tuple(sums), source_n=n, source_k=k)
+    if all(v.denominator == 1 for v in a):
+        # int sums are faster; equal sums share one Fraction to keep stored keys small
+        ints = sorted(sum(combo) for combo in combinations([v.numerator for v in a], k))
+        interned: dict[int, Fraction] = {}
+        sums = tuple(interned.setdefault(s, Fraction(s)) for s in ints)
+    else:
+        sums = tuple(sorted(sum(combo) for combo in combinations(a, k)))
+    return SumMultiset(sums, source_n=n, source_k=k)
 
 
 def multiset_equal(x: SumMultiset, y: SumMultiset) -> bool:

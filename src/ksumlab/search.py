@@ -20,9 +20,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from multiprocessing import Pool
 from typing import Iterator, Sequence
 
+from .elimination import residual_relations
 from .multisets import (
     NumberMultiset,
     SumMultiset,
@@ -76,19 +76,9 @@ def enumerate_candidates(spec: SearchSpec) -> Iterator[NumberMultiset]:
             yield shifted
 
 
-def _sum_key(candidate: NumberMultiset, k: int) -> tuple[Fraction, ...]:
-    if all(v.denominator == 1 for v in candidate):
-        # summing plain ints is much faster and just as exact
-        ints = [v.numerator for v in candidate]
-        sums = sorted(sum(c) for c in combinations(ints, k))
-        cache: dict[int, Fraction] = {}
-        return tuple(cache.setdefault(s, Fraction(s)) for s in sums)
-    return ksums(candidate, k).sums
-
-
 def _chunk_pairs(args: tuple[int, Sequence[NumberMultiset]]) -> list[tuple[NumberMultiset, tuple[Fraction, ...]]]:
     k, chunk = args
-    return [(candidate, _sum_key(candidate, k)) for candidate in chunk]
+    return [(candidate, ksums(candidate, k).sums) for candidate in chunk]
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
@@ -171,6 +161,8 @@ def find_collisions(
     pending = [i for i in range(len(chunks)) if i not in done]
     jobs = [(spec.k, chunks[i]) for i in pending]
     if workers > 1 and len(jobs) > 1:
+        from multiprocessing import Pool  # lazy: it would slow every `import ksumlab`
+
         with Pool(processes=workers) as pool:
             results = pool.map(_chunk_pairs, jobs)
     else:
@@ -246,8 +238,6 @@ def verify_record(record: CollisionRecord) -> bool:
     if sums_a.sums != sums_b.sums or sums_a.sums != tuple(sorted(record.canonical_sums.sums)):
         return False
     if len(record.first) == 12 and record.k == 4:
-        from .elimination import residual_relations
-
         for member in (record.first, record.second):
             shift = -sum(member) / len(member)
             shifted = affine_image(member, Fraction(1), shift)

@@ -157,6 +157,18 @@ def test_substitute_matches_reference(a, b, c, value):
 
 
 @settings(max_examples=150, deadline=None)
+@given(refs, st.sampled_from(POOL))
+def test_collect_matches_reference(a, var):
+    parts = to_poly(a).collect(Var(*var))
+    recombined: dict = {}
+    for exp, part in parts.items():
+        ref_part = from_poly(part)
+        assert ref_part and all(var not in exps_of(m) for m in ref_part)
+        recombined = ref_add(recombined, ref_mul(ref_part, {mono_of({var: exp}): Fraction(1)}))
+    assert recombined == a
+
+
+@settings(max_examples=150, deadline=None)
 @given(refs, env_strategy())
 def test_evaluate_matches_reference(a, env):
     values = {Var(f, i): v for (f, i), v in env.items()}

@@ -274,6 +274,17 @@ def test_search_rejects_corrupt_checkpoint(tmp_path, capsys):
     assert code == 2 and out == "" and "different search" in err
 
 
+def test_search_unwritable_out_fails_before_searching(tmp_path, capsys):
+    ck = tmp_path / "ck.jsonl"
+    out = tmp_path / "missing" / "records.jsonl"
+    code, stdout, err = run(
+        capsys, "search", "-n", "4", "-k", "2", "-B", "6", "--resume", str(ck), "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not ck.exists()  # the search never started
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -1,10 +1,14 @@
 """Bounded collision search: enumeration, grouping, dedupe, checkpoints."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ksumlab
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
 from ksumlab.multisets import ksums, parse_multiset, power_sum
 from ksumlab.search import (
@@ -182,3 +186,17 @@ def test_checkpoint_tail_repair(tmp_path):
     ck.write_bytes(first + second[:30] + b"\n" + b"".join(rest))
     with pytest.raises(ValueError, match="line 2 is corrupt"):
         find_collisions(spec, checkpoint=str(ck))
+
+
+def test_import_does_not_load_multiprocessing():
+    src = os.path.dirname(os.path.dirname(ksumlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, ksumlab; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
