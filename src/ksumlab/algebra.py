@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -50,6 +50,12 @@ _SLOTS = len(_FAMILY_RANK) * MAX_INDEX
 _EXP_MASK = MAX_DEGREE
 _DEGREE_SHIFT = _SLOTS * EXP_BITS
 _BODY_MASK = (1 << _DEGREE_SHIFT) - 1
+
+
+def over_common_denominator(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Integers ``nums`` and the least ``den > 0`` with ``values[i] == nums[i] / den``."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class UnboundVariableError(KeyError):
@@ -213,9 +219,9 @@ class Poly:
     __slots__ = ("_num", "_den", "_terms", "_decoded")
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
-        items = [(mono.key, Fraction(coeff)) for mono, coeff in dict(terms).items()]
-        den = lcm(*(q.denominator for _, q in items))
-        self._set({k: q.numerator * (den // q.denominator) for k, q in items}, den)
+        terms = dict(terms)
+        nums, den = over_common_denominator([Fraction(c) for c in terms.values()])
+        self._set({mono.key: v for mono, v in zip(terms, nums)}, den)
 
     def _set(self, num: dict[int, int], den: int) -> None:
         """Take ownership of ``num``; drop zeros and reduce to lowest terms."""
@@ -452,14 +458,11 @@ class Poly:
         terms, slots = self._decoded_terms()
         if not terms:
             return Fraction(0)
-        bound: dict[int, Fraction] = {}
-        for slot in slots:
-            var = _VARS[slot]
-            if var not in values:
-                raise UnboundVariableError(f"no value bound for {var}")
-            bound[slot] = Fraction(values[var])
-        scale = lcm(*(q.denominator for q in bound.values()))
-        ints = {slot: q.numerator * (scale // q.denominator) for slot, q in bound.items()}
+        missing = [_VARS[slot] for slot in slots if _VARS[slot] not in values]
+        if missing:
+            raise UnboundVariableError(f"no value bound for {missing[0]}")
+        nums, scale = over_common_denominator([Fraction(values[_VARS[slot]]) for slot in slots])
+        ints = dict(zip(slots, nums))
         powers: dict[int, int] = {}
         by_degree: dict[int, int] = {}
         for num, degree, codes in terms:

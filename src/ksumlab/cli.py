@@ -21,6 +21,7 @@ from importlib import resources
 
 from .algebra import Monomial, Poly, svar
 from .elimination import (
+    N_ELEMENTS,
     coefficient_report,
     quadratic_at,
     residual_equation_indices,
@@ -113,14 +114,11 @@ def cmd_collide(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if sums_a.sums == sums_b.sums:
-        print(f"EQUAL ({len(sums_a.sums)} sums)")
+    if sums_a == sums_b:
+        print(f"EQUAL ({len(sums_a.numerators)} sums)")
         return OK
-    for left, right in zip(sums_a.sums, sums_b.sums):
-        if left != right:
-            print(f"DIFFER: first differing sum {left} vs {right}")
-            return NEGATIVE
-    print("DIFFER: equal prefixes, different lengths")
+    left, right = next((x, y) for x, y in zip(sums_a.sums, sums_b.sums) if x != y)
+    print(f"DIFFER: first differing sum {left} vs {right}")
     return NEGATIVE
 
 
@@ -169,14 +167,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return OK if all_ok else NEGATIVE
 
 
-def _prepared_power_sums(raw_set: str, upto: int):
+def _prepared_power_sums(raw_set: str, upto: int, quantity: str):
     sets = _resolve_set_args([raw_set])
     if len(sets) != 1:
         raise ValueError("expected exactly one set")
-    shifted = _shift_to_zero_s1(sets[0])
-    if len(shifted) < upto:
-        raise ValueError(f"set must have at least {upto} elements")
-    return power_sum_vector(shifted, upto)
+    if len(sets[0]) != N_ELEMENTS:
+        raise ValueError(f"set must have exactly {N_ELEMENTS} elements, got {len(sets[0])}")
+    s = power_sum_vector(_shift_to_zero_s1(sets[0]), upto)
+    if s[2] == 0:
+        raise ValueError(f"S_2 = 0, {quantity} undefined")
+    return s
 
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
@@ -196,17 +196,9 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
 
     try:
         if args.second_root is not None:
-            s = _prepared_power_sums(args.second_root, 8)
-            if s[2] == 0:
-                print("error: S_2 = 0, second root undefined", file=sys.stderr)
-                return USAGE_ERROR
-            print(f"S6'' = {second_root(s)}")
+            print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 8, 'second root'))}")
             return OK
-        s = _prepared_power_sums(args.residuals, 12)
-        if s[2] == 0:
-            print("error: S_2 = 0, residuals undefined", file=sys.stderr)
-            return USAGE_ERROR
-        values = residual_relations(s)
+        values = residual_relations(_prepared_power_sums(args.residuals, 12, "residuals"))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

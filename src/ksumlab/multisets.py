@@ -10,10 +10,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
-from .algebra import RationalLike
+from .algebra import RationalLike, over_common_denominator
 
 NumberMultiset = tuple[Fraction, ...]
 
@@ -77,11 +77,23 @@ def format_multiset(values: Iterable[RationalLike], run_length: bool = True) -> 
 
 @dataclass(frozen=True)
 class SumMultiset:
-    """The multiset of all k-element sums of a source multiset."""
+    """The multiset of all k-element sums of a source multiset, held like a
+    ``Poly``: ascending ``numerators`` over one positive ``denominator`` in
+    lowest terms, so equal multisets have equal fields.  ``sums`` is the
+    ``Fraction`` view."""
 
-    sums: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     source_n: int
     source_k: int
+
+    @property
+    def sums(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
+
+    def power_sums(self, m: int) -> PowerSumVector:
+        """Power sums 1..m of the sums."""
+        return _power_sums(self.numerators, self.denominator, m)
 
 
 def ksums(a: NumberMultiset, k: int) -> SumMultiset:
@@ -89,27 +101,23 @@ def ksums(a: NumberMultiset, k: int) -> SumMultiset:
     n = len(a)
     if not 1 <= k <= n:
         raise BadKError(f"k must be in 1..{n}, got {k}")
-    if all(v.denominator == 1 for v in a):
-        # int sums are faster; equal sums share one Fraction to keep stored keys small
-        ints = sorted(sum(combo) for combo in combinations([v.numerator for v in a], k))
-        interned: dict[int, Fraction] = {}
-        sums = tuple(interned.setdefault(s, Fraction(s)) for s in ints)
-    else:
-        sums = tuple(sorted(sum(combo) for combo in combinations(a, k)))
-    return SumMultiset(sums, source_n=n, source_k=k)
+    ints, den = over_common_denominator(a)
+    sums = sorted(map(sum, combinations(ints, k)))
+    g = gcd(den, *sums)
+    if g != 1:
+        sums, den = [v // g for v in sums], den // g
+    return SumMultiset(tuple(sums), den, source_n=n, source_k=k)
 
 
 def multiset_equal(x: SumMultiset, y: SumMultiset) -> bool:
-    return x.sums == y.sums
+    return x.denominator == y.denominator and x.numerators == y.numerators
 
 
 def power_sum(a: NumberMultiset, p: int) -> Fraction:
     """Sum of p-th powers; p = 0 counts the elements."""
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
-    if p == 0:
-        return Fraction(len(a))
-    return sum((x ** p for x in a), Fraction(0))
+    return power_sum_vector(a, p)[p] if p else Fraction(len(a))
 
 
 @dataclass(frozen=True)
@@ -128,10 +136,19 @@ class PowerSumVector:
         return len(self.values)
 
 
-def power_sum_vector(a: NumberMultiset, m: int) -> PowerSumVector:
+def _power_sums(ints: Sequence[int], den: int, m: int) -> PowerSumVector:
+    """Power sums 1..m of the numbers ``ints[i] / den``, by running powers."""
     if m < 1:
         raise ValueError(f"need at least one entry, got m={m}")
-    return PowerSumVector(tuple(power_sum(a, p) for p in range(1, m + 1)))
+    values, powers = [], ints
+    for p in range(1, m + 1):
+        values.append(Fraction(sum(powers), den**p))
+        powers = [x * y for x, y in zip(powers, ints)]
+    return PowerSumVector(tuple(values))
+
+
+def power_sum_vector(a: NumberMultiset, m: int) -> PowerSumVector:
+    return _power_sums(*over_common_denominator(a), m)
 
 
 def affine_image(a: NumberMultiset, scale: RationalLike, shift: RationalLike) -> NumberMultiset:
@@ -148,16 +165,10 @@ def normalize_affine(a: NumberMultiset) -> tuple[NumberMultiset, Fraction, Fract
     input collapses to all zeros, scale 1).  Returns (result, shift, scale)
     with result = {scale * (x + shift)}.
     """
-    n = len(a)
-    shift = -power_sum(a, 1) / n
-    shifted = [x + shift for x in a]
-    if all(x == 0 for x in shifted):
-        return tuple(shifted), shift, Fraction(1)
-    common_den = lcm(*(x.denominator for x in shifted))
-    integers = [x * common_den for x in shifted]
-    common_gcd = gcd(*(int(v) for v in integers))
-    scale = Fraction(common_den, common_gcd)
-    return as_multiset(x * scale for x in shifted), shift, scale
+    shift = -power_sum(a, 1) / len(a)
+    integers, common_den = over_common_denominator([x + shift for x in a])
+    common_gcd = gcd(*integers) or 1  # all zeros when the input is all-equal
+    return as_multiset(v // common_gcd for v in integers), shift, Fraction(common_den, common_gcd)
 
 
 def canonical_orbit(a: NumberMultiset) -> NumberMultiset:

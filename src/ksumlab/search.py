@@ -1,22 +1,24 @@
 """Bounded exhaustive search for distinct multisets with equal k-sums.
 
-Candidates are enumerated deterministically, bucketed by their exact
-sorted k-sum list, and every pair sharing a bucket becomes a collision
-record.  Symmetric mode enumerates negation-symmetric sets only (both
-known 12-element examples are symmetric), which keeps the (12, 4, B=8)
-space at 3003 candidates; general mode walks all nondecreasing tuples
+Candidates are enumerated deterministically, bucketed by the integer form
+of their k-sum multiset, and every pair sharing a bucket becomes a
+collision record.  Symmetric mode enumerates negation-symmetric sets only
+(both known 12-element examples are symmetric), which keeps the (12, 4,
+B=8) space at 3003 candidates; general mode walks all nondecreasing tuples
 from {0..B} up to shift, and is exponential in n.
 
 Chunked work partitioning keeps parallel runs reproducible: workers map
-chunks to (candidate, key) pairs and the merge is ordered, so the record
-list never depends on the worker count.  A checkpoint file holds one JSON
-line per finished chunk and lets an interrupted run resume.
+chunks to keys and the merge is ordered, so the record list never depends
+on the worker count.  A checkpoint file holds a header fixing the search,
+then one JSON line of keys per chunk, written as the chunk finishes; a
+resumed run enumerates the candidates again and keys only missing chunks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -76,13 +78,17 @@ def enumerate_candidates(spec: SearchSpec) -> Iterator[NumberMultiset]:
             yield shifted
 
 
-def _chunk_pairs(args: tuple[int, Sequence[NumberMultiset]]) -> list[tuple[NumberMultiset, tuple[Fraction, ...]]]:
+Key = tuple[int, tuple[int, ...]]  # (denominator, numerators) of a candidate's k-sums
+
+
+def _chunk_pairs(args: tuple[int, Sequence[NumberMultiset]]) -> list[Key]:
     k, chunk = args
-    return [(candidate, ksums(candidate, k).sums) for candidate in chunk]
+    return [(s.denominator, s.numerators) for s in (ksums(candidate, k) for candidate in chunk)]
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
     return {
+        "format": 2,
         "n": spec.n,
         "k": spec.k,
         "bound": spec.bound,
@@ -91,29 +97,23 @@ def _checkpoint_header(spec: SearchSpec) -> dict:
     }
 
 
-def _encode_chunk(chunk_id: int, pairs: list[tuple[NumberMultiset, tuple[Fraction, ...]]]) -> str:
-    items = [[[str(v) for v in cand], [str(v) for v in key]] for cand, key in pairs]
-    return json.dumps({"chunk": chunk_id, "items": items})
-
-
-def _decode_chunk(line: str | bytes) -> tuple[int, list[tuple[NumberMultiset, tuple[Fraction, ...]]]]:
+def _decode_chunk(line: str | bytes, sizes: list[int]) -> tuple[int, list[Key]]:
     data = json.loads(line)
-    pairs = [
-        (tuple(Fraction(v) for v in cand), tuple(Fraction(v) for v in key))
-        for cand, key in data["items"]
-    ]
-    return data["chunk"], pairs
+    chunk_id, keys = data["chunk"], [(den, tuple(nums)) for den, nums in data["keys"]]
+    if not 0 <= chunk_id < len(sizes) or len(keys) != sizes[chunk_id]:
+        raise ValueError(f"chunk {chunk_id} does not fit this search")
+    return chunk_id, keys
 
 
-def _load_checkpoint(path: str, spec: SearchSpec) -> tuple[dict[int, list], bool]:
+def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dict[int, list[Key]], bool]:
     """Completed chunks from a checkpoint file, plus whether a valid header
-    line is already present.
+    line is already present; ``sizes[i]`` is the length of chunk i.
 
     An undecodable last line is the torn tail of an interrupted write: it
     is cut off the file, so the next append starts on a fresh line, and its
     chunk is computed again.  Any other undecodable line is an error.
     """
-    done: dict[int, list] = {}
+    done: dict[int, list[Key]] = {}
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
@@ -128,7 +128,7 @@ def _load_checkpoint(path: str, spec: SearchSpec) -> tuple[dict[int, list], bool
                 if number == 1:
                     entry = json.loads(line).get("header")
                 else:
-                    entry = _decode_chunk(line) if line.strip() else None
+                    entry = _decode_chunk(line, sizes) if line.strip() else None
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 if following:
                     raise ValueError(f"checkpoint {path} line {number} is corrupt: {exc}") from None
@@ -137,8 +137,8 @@ def _load_checkpoint(path: str, spec: SearchSpec) -> tuple[dict[int, list], bool
                 if entry != _checkpoint_header(spec):
                     raise ValueError(f"checkpoint {path} was written for a different search")
             elif entry is not None:
-                chunk_id, pairs = entry
-                done[chunk_id] = pairs
+                chunk_id, keys = entry
+                done[chunk_id] = keys
             intact += len(line)
             complete = line.endswith(b"\n")
             line, number = following, number + 1
@@ -157,37 +157,35 @@ def find_collisions(
     candidates = list(enumerate_candidates(spec))
     chunks = [candidates[i : i + CHUNK_SIZE] for i in range(0, len(candidates), CHUNK_SIZE)]
 
-    done, has_header = _load_checkpoint(checkpoint, spec) if checkpoint else ({}, False)
+    sizes = [len(chunk) for chunk in chunks]
+    done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
     jobs = [(spec.k, chunks[i]) for i in pending]
-    if workers > 1 and len(jobs) > 1:
-        from multiprocessing import Pool  # lazy: it would slow every `import ksumlab`
+    with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
+        out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
+        if out and not has_header:
+            print(json.dumps({"header": _checkpoint_header(spec)}), file=out)
+        if workers > 1 and len(jobs) > 1:
+            from multiprocessing import Pool  # lazy: it would slow every `import ksumlab`
 
-        with Pool(processes=workers) as pool:
-            results = pool.map(_chunk_pairs, jobs)
-    else:
-        results = [_chunk_pairs(job) for job in jobs]
-    computed = dict(zip(pending, results))
+            results = stack.enter_context(Pool(processes=workers)).imap(_chunk_pairs, jobs)
+        else:
+            results = map(_chunk_pairs, jobs)
+        for chunk_id, keys in zip(pending, results):
+            done[chunk_id] = keys
+            if out:
+                print(json.dumps({"chunk": chunk_id, "keys": keys}), file=out)
 
-    if checkpoint and pending:
-        with open(checkpoint, "a", encoding="utf-8") as out:
-            if not has_header:
-                out.write(json.dumps({"header": _checkpoint_header(spec)}) + "\n")
-            for chunk_id in pending:
-                out.write(_encode_chunk(chunk_id, computed[chunk_id]) + "\n")
-
-    groups: dict[tuple[Fraction, ...], list[NumberMultiset]] = {}
-    for chunk_id in range(len(chunks)):
-        for candidate, key in done.get(chunk_id) or computed[chunk_id]:
+    groups: dict[Key, list[NumberMultiset]] = {}
+    for chunk_id, chunk in enumerate(chunks):
+        for candidate, key in zip(chunk, done[chunk_id]):
             groups.setdefault(key, []).append(candidate)
 
-    records: list[CollisionRecord] = []
-    for key, members in groups.items():
-        if len(members) < 2:
-            continue
-        sums = SumMultiset(sums=key, source_n=spec.n, source_k=spec.k)
-        for a, b in combinations(sorted(members), 2):
-            records.append(CollisionRecord(first=a, second=b, k=spec.k, canonical_sums=sums))
+    records = [
+        CollisionRecord(a, b, spec.k, SumMultiset(nums, den, spec.n, spec.k))
+        for (den, nums), members in groups.items()
+        for a, b in combinations(sorted(members), 2)
+    ]
     records.sort(key=lambda r: (r.canonical_sums.sums, r.first, r.second))
     if spec.dedupe_affine:
         records = dedupe_records(records)
@@ -233,9 +231,8 @@ def verify_record(record: CollisionRecord) -> bool:
         return False
     if len(record.first) != len(record.second):
         return False
-    sums_a = ksums(record.first, record.k)
-    sums_b = ksums(record.second, record.k)
-    if sums_a.sums != sums_b.sums or sums_a.sums != tuple(sorted(record.canonical_sums.sums)):
+    sums = ksums(record.first, record.k)
+    if sums != ksums(record.second, record.k) or sums != record.canonical_sums:
         return False
     if len(record.first) == 12 and record.k == 4:
         for member in (record.first, record.second):

@@ -19,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .algebra import Poly, RationalLike, Var, svar
-from .multisets import NumberMultiset, PowerSumVector, ksums, power_sum
+from .algebra import Poly, RationalLike, Var, over_common_denominator, svar
+from .multisets import NumberMultiset, PowerSumVector, ksums
 
 Composition = tuple[int, ...]
 
@@ -56,9 +56,7 @@ def monomial_power_sum_direct(a: NumberMultiset, parts: Iterable[int]) -> Fracti
     c = composition(parts)
     if len(c) > len(a):
         raise TooManyPartsError(f"{len(c)} parts but only {len(a)} elements")
-    values = [Fraction(v) for v in a]
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ints, scale = over_common_denominator(a)
     columns = [[x**exp for x in ints] for exp in c]
     total = 0
     for chosen in permutations(range(len(ints)), len(c)):
@@ -225,8 +223,7 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
 
 def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:
     """E_1..E_pmax computed directly from the k-sum multiset: the ground truth."""
-    sums = ksums(a, k).sums
-    return PowerSumVector(tuple(power_sum(sums, p) for p in range(1, pmax + 1)))
+    return ksums(a, k).power_sums(pmax)
 
 
 def identity_fixture_lines(pmax: int = 14, k: int = 4, n: int = 12) -> list[str]:

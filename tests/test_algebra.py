@@ -1,5 +1,6 @@
 """Polynomial kernel: exact arithmetic, ordering, rendering, parsing."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -198,3 +199,14 @@ def test_parse_rejects_bad_exponents():
     for bad in ("S2^", "3*S2^ + 1", "S2^1/2", "S2^-1"):
         with pytest.raises(ValueError):
             Poly.parse(bad)
+
+
+def test_evaluate_does_not_grow_the_heap():
+    p = Poly.parse("3/7*S1^3*E2 - 5*S2^2 + 1/3*E2*S1 + 2")
+    values = {svar(1): Fraction(-4, 9), svar(2): Fraction(5, 6), evar(2): Fraction(7, 10)}
+    for _ in range(100):
+        p.evaluate(values)
+    before = sys.getallocatedblocks()
+    for _ in range(2000):
+        p.evaluate(values)
+    assert sys.getallocatedblocks() - before < 200

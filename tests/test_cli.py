@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ksumlab import search
 from ksumlab.cli import main
 from ksumlab.multisets import parse_multiset
 from ksumlab.search import collision_class_key
@@ -289,3 +290,33 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "option, literal",
+    [("--residuals", FIRST + " 0"), ("--second-root", "1 2 3 4 5 6 7 9")],
+)
+def test_eliminate_requires_exactly_twelve_elements(capsys, option, literal):
+    code, out, err = run(capsys, "eliminate", option, literal)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exactly 12" in err
+
+
+def test_search_missing_checkpoint_dir_fails_before_searching(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "_chunk_pairs", calls.append)
+    ck = tmp_path / "missing" / "ck.jsonl"
+    code, out, err = run(capsys, "search", "-n", "8", "-k", "2", "-B", "8", "--resume", str(ck))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == []
+
+
+def test_search_rejects_checkpoint_in_the_old_format(tmp_path, capsys):
+    ck = tmp_path / "ck.jsonl"
+    header = {"n": 4, "k": 2, "bound": 6, "symmetric": False, "chunk_size": 256}
+    chunk = {"chunk": 0, "items": [[["-3/2", "-1/2", "1/2", "3/2"], ["-2", "-1", "0", "0", "1", "2"]]]}
+    ck.write_text(json.dumps({"header": header}) + "\n" + json.dumps(chunk) + "\n")
+    code, out, err = run(capsys, "search", "-n", "4", "-k", "2", "-B", "6", "--resume", str(ck))
+    assert code == 2 and out == ""
+    assert "different search" in err

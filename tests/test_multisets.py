@@ -1,7 +1,8 @@
 """Multiset core: parsing, k-sums, power sums, affine normalization."""
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -176,3 +177,40 @@ def test_canonical_orbit_absorbs_reflection(data):
     a = data.draw(multisets)
     reflected = as_multiset(-x for x in a)
     assert canonical_orbit(a) == canonical_orbit(reflected)
+
+
+mixed = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=30), min_size=1, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ksums_integer_form_matches_fraction_reference(data):
+    a = as_multiset(data.draw(mixed))
+    k = data.draw(st.integers(1, len(a)))
+    sums = ksums(a, k)
+    reference = tuple(sorted(sum(combo, Fraction(0)) for combo in combinations(a, k)))
+    assert sums.sums == reference
+    assert sums.denominator > 0 and gcd(sums.denominator, *sums.numerators) == 1
+    assert sums.numerators == tuple(v * sums.denominator for v in reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_power_sums_match_fraction_reference(data):
+    a = as_multiset(data.draw(mixed))
+    k = data.draw(st.integers(1, len(a)))
+    m = data.draw(st.integers(1, 8))
+    direct = [sum((x**p for x in a), Fraction(0)) for p in range(1, m + 1)]
+    assert list(power_sum_vector(a, m).values) == direct
+    assert [power_sum(a, p) for p in range(1, m + 1)] == direct
+    sums = [sum(combo, Fraction(0)) for combo in combinations(a, k)]
+    assert list(ksums(a, k).power_sums(m).values) == [
+        sum((s**p for s in sums), Fraction(0)) for p in range(1, m + 1)
+    ]
+
+
+def test_equal_sums_from_different_denominators():
+    halves = ksums(as_multiset([Fraction(1, 2), Fraction(1, 2)]), 2)
+    ints = ksums(as_multiset([0, 1]), 2)
+    assert halves == ints
+    assert (halves.denominator, halves.numerators) == (1, (1,))

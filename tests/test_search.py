@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ksumlab
+from ksumlab import search
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
 from ksumlab.multisets import ksums, parse_multiset, power_sum
 from ksumlab.search import (
@@ -200,3 +201,27 @@ def test_import_does_not_load_multiprocessing():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_checkpoint_keeps_chunks_finished_before_an_interruption(tmp_path, monkeypatch):
+    spec = SearchSpec(n=10, k=2, bound=8, symmetric_only=True)
+    fresh = find_collisions(spec)
+    ck = tmp_path / "progress.jsonl"
+    real = search._chunk_pairs
+    calls = []
+
+    def failing_third(job):
+        calls.append(len(ck.read_text().splitlines()))
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return real(job)
+
+    monkeypatch.setattr(search, "_chunk_pairs", failing_third)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        find_collisions(spec, checkpoint=str(ck))
+    assert calls == [1, 2, 3]  # each line is on disk before the next chunk starts
+    lines = ck.read_text().splitlines()
+    assert len(lines) == 3
+    assert [json.loads(line)["chunk"] for line in lines[1:]] == [0, 1]
+    monkeypatch.undo()
+    assert find_collisions(spec, checkpoint=str(ck)) == fresh
