@@ -220,9 +220,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         spec = SearchSpec(
             n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric
         )
-        if args.out:
-            sink = open(args.out, "w", encoding="utf-8")
+        if args.out:  # opened now so a bad path fails at once, emptied only on success
+            sink = open(args.out, "a", encoding="utf-8")
         records = find_collisions(spec, workers=args.workers, checkpoint=args.resume)
+        if sink is not sys.stdout and sink.seekable():  # a pipe cannot be truncated
+            sink.truncate(0)
         for record in records:
             line = json.dumps(
                 {

@@ -96,12 +96,16 @@ class SumMultiset:
         return _power_sums(self.numerators, self.denominator, m)
 
 
-def ksums(a: NumberMultiset, k: int) -> SumMultiset:
-    """All C(n,k) sums over index-distinct k-subsets, kept with multiplicity."""
+def ksums(a: Sequence[RationalLike], k: int, denominator: int | None = None) -> SumMultiset:
+    """All C(n,k) sums over index-distinct k-subsets, kept with multiplicity.
+
+    Given a positive ``denominator``, ``a`` holds the integer numerators of
+    the elements over it, which skips putting them over a common one.
+    """
     n = len(a)
     if not 1 <= k <= n:
         raise BadKError(f"k must be in 1..{n}, got {k}")
-    ints, den = over_common_denominator(a)
+    ints, den = over_common_denominator(a) if denominator is None else (a, denominator)
     sums = sorted(map(sum, combinations(ints, k)))
     g = gcd(den, *sums)
     if g != 1:

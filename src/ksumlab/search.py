@@ -1,11 +1,15 @@
 """Bounded exhaustive search for distinct multisets with equal k-sums.
 
-Candidates are enumerated deterministically, bucketed by the integer form
-of their k-sum multiset, and every pair sharing a bucket becomes a
-collision record.  Symmetric mode enumerates negation-symmetric sets only
-(both known 12-element examples are symmetric), which keeps the (12, 4,
-B=8) space at 3003 candidates; general mode walks all nondecreasing tuples
-from {0..B} up to shift, and is exponential in n.
+Candidates are enumerated deterministically as integer numerators over
+one shared denominator, bucketed by the integer form of their k-sum
+multiset, and every pair sharing a bucket becomes a collision record;
+only the members of a shared bucket are ever turned into Fractions.
+Symmetric mode enumerates negation-symmetric sets only (both known
+12-element examples are symmetric), which keeps the (12, 4, B=8) space at
+3003 candidates; general mode walks one representative per shift class of
+the nondecreasing tuples from {0..B}, the one starting at 0, centred to
+sum zero, and is exponential in n.  Spaces of more than ``MAX_CANDIDATES``
+candidates are refused up front.
 
 Chunked work partitioning keeps parallel runs reproducible: workers map
 chunks to keys and the merge is ordered, so the record list never depends
@@ -22,19 +26,18 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb, gcd
 from typing import Iterator, Sequence
 
+from .algebra import over_common_denominator
 from .elimination import residual_relations
-from .multisets import (
-    NumberMultiset,
-    SumMultiset,
-    affine_image,
-    ksums,
-    normalize_affine,
-    power_sum_vector,
-)
+from .multisets import NumberMultiset, SumMultiset, affine_image, ksums, power_sum_vector
 
 CHUNK_SIZE = 256
+# Every candidate's key, C(n, k) integers, stays in memory until the buckets
+# are formed, so larger spaces are refused before any work.  Symmetric
+# (12, 4, B=12) has 18564 candidates and peaks near 180 MB.
+MAX_CANDIDATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -62,28 +65,55 @@ class CollisionRecord:
     canonical_sums: SumMultiset
 
 
+def _candidate_count(spec: SearchSpec) -> int:
+    """Number of candidates in the search space, without enumerating it."""
+    if spec.symmetric_only:
+        return comb(spec.bound + spec.n // 2, spec.n // 2)
+    return comb(spec.bound + spec.n - 1, spec.n - 1)
+
+
+Numerators = tuple[int, ...]  # a candidate, over the denominator of its space
+
+
+def _candidates(spec: SearchSpec) -> tuple[int, Iterator[Numerators]]:
+    """The shared denominator of a space and its candidates' numerators.
+
+    A symmetric candidate is {-v, v : v in half}, over 1.  In general mode
+    the lexicographically first nondecreasing tuple of a shift class is the
+    one starting at 0, so the tuples ``(0,) + rest`` are exactly the first
+    occurrences, in the same order; each is centred to sum zero as
+    ``n * v - total`` over n.
+    """
+    if spec.symmetric_only:
+        halves = combinations_with_replacement(range(spec.bound + 1), spec.n // 2)
+        return 1, (tuple(-v for v in reversed(half)) + half for half in halves)
+    n = spec.n
+
+    def centred() -> Iterator[Numerators]:
+        for rest in combinations_with_replacement(range(spec.bound + 1), n - 1):
+            total = sum(rest)
+            yield (-total, *(n * v - total for v in rest))
+
+    return n, centred()
+
+
+def _as_fractions(nums: Numerators, den: int) -> NumberMultiset:
+    return tuple(Fraction(v, den) for v in nums)
+
+
 def enumerate_candidates(spec: SearchSpec) -> Iterator[NumberMultiset]:
     """Deterministic candidate stream for the given search space."""
-    if spec.symmetric_only:
-        for values in combinations_with_replacement(range(spec.bound + 1), spec.n // 2):
-            expanded = [Fraction(v) for v in values] + [Fraction(-v) for v in values]
-            yield tuple(sorted(expanded))
-        return
-    seen: set[NumberMultiset] = set()
-    for values in combinations_with_replacement(range(spec.bound + 1), spec.n):
-        total = sum(values)
-        shifted = tuple(Fraction(v) - Fraction(total, spec.n) for v in values)
-        if shifted not in seen:
-            seen.add(shifted)
-            yield shifted
+    den, stream = _candidates(spec)
+    for nums in stream:
+        yield _as_fractions(nums, den)
 
 
 Key = tuple[int, tuple[int, ...]]  # (denominator, numerators) of a candidate's k-sums
 
 
-def _chunk_pairs(args: tuple[int, Sequence[NumberMultiset]]) -> list[Key]:
-    k, chunk = args
-    return [(s.denominator, s.numerators) for s in (ksums(candidate, k) for candidate in chunk)]
+def _chunk_pairs(args: tuple[int, int, Sequence[Numerators]]) -> list[Key]:
+    k, den, chunk = args
+    return [(s.denominator, s.numerators) for s in (ksums(nums, k, den) for nums in chunk)]
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
@@ -154,13 +184,22 @@ def find_collisions(
     spec: SearchSpec, workers: int = 1, checkpoint: str | None = None
 ) -> list[CollisionRecord]:
     """All collision pairs within the bounded space, canonically ordered."""
-    candidates = list(enumerate_candidates(spec))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    count = _candidate_count(spec)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"the search space has {count} candidates, more than the {MAX_CANDIDATES} allowed;"
+            " lower the bound or n"
+        )
+    den, stream = _candidates(spec)
+    candidates = list(stream)
     chunks = [candidates[i : i + CHUNK_SIZE] for i in range(0, len(candidates), CHUNK_SIZE)]
 
     sizes = [len(chunk) for chunk in chunks]
     done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
-    jobs = [(spec.k, chunks[i]) for i in pending]
+    jobs = [(spec.k, den, chunks[i]) for i in pending]
     with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
         out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
         if out and not has_header:
@@ -176,17 +215,24 @@ def find_collisions(
             if out:
                 print(json.dumps({"chunk": chunk_id, "keys": keys}), file=out)
 
-    groups: dict[Key, list[NumberMultiset]] = {}
+    groups: dict[Key, list[Numerators]] = {}
     for chunk_id, chunk in enumerate(chunks):
         for candidate, key in zip(chunk, done[chunk_id]):
             groups.setdefault(key, []).append(candidate)
 
-    records = [
-        CollisionRecord(a, b, spec.k, SumMultiset(nums, den, spec.n, spec.k))
-        for (den, nums), members in groups.items()
+    # Order as (sums, first, second) would order Fractions: every key's
+    # denominator divides den, and all candidates share den.
+    pairs = [
+        (tuple(v * (den // sum_den) for v in nums), a, b, SumMultiset(nums, sum_den, spec.n, spec.k))
+        for (sum_den, nums), members in groups.items()
+        if len(members) > 1
         for a, b in combinations(sorted(members), 2)
     ]
-    records.sort(key=lambda r: (r.canonical_sums.sums, r.first, r.second))
+    pairs.sort(key=lambda pair: pair[:3])
+    records = [
+        CollisionRecord(_as_fractions(a, den), _as_fractions(b, den), spec.k, sums)
+        for _, a, b, sums in pairs
+    ]
     if spec.dedupe_affine:
         records = dedupe_records(records)
     return records
@@ -194,21 +240,23 @@ def find_collisions(
 
 def collision_class_key(
     first: NumberMultiset, second: NumberMultiset
-) -> tuple[NumberMultiset, NumberMultiset]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical form of an unordered pair under joint shift, positive
-    scale, and reflection.  Pairs with equal keys are the same collision."""
-    ordered = tuple(sorted((tuple(sorted(first)), tuple(sorted(second)))))
-    _, shift, scale = normalize_affine(ordered[0] + ordered[1])
-    mapped = tuple(
-        tuple(scale * (v + shift) for v in member) for member in ordered
+    scale, and reflection.  Pairs with equal keys are the same collision.
+
+    The union is centred over the integers as ``size * x - total`` and
+    divided by its gcd; the key is the lesser of the two reflections, a
+    sorted pair of sorted int tuples.
+    """
+    ints, _ = over_common_denominator([*first, *second])
+    size, total = len(ints), sum(ints)
+    centred = [size * x - total for x in ints]
+    g = gcd(*centred) or 1  # all zeros when every element is equal
+    parts = (centred[: len(first)], centred[len(first) :])
+    return min(
+        tuple(sorted(tuple(sorted(sign * v // g for v in part)) for part in parts))
+        for sign in (1, -1)
     )
-    variants = []
-    for sign in (1, -1):
-        parts = tuple(
-            sorted(tuple(sorted(sign * v for v in member)) for member in mapped)
-        )
-        variants.append(parts)
-    return min(variants)
 
 
 def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:

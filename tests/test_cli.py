@@ -1,9 +1,13 @@
 """End-to-end CLI behavior, including the documented exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ksumlab
 from ksumlab import search
 from ksumlab.cli import main
 from ksumlab.multisets import parse_multiset
@@ -320,3 +324,43 @@ def test_search_rejects_checkpoint_in_the_old_format(tmp_path, capsys):
     code, out, err = run(capsys, "search", "-n", "4", "-k", "2", "-B", "6", "--resume", str(ck))
     assert code == 2 and out == ""
     assert "different search" in err
+
+
+def test_failed_search_keeps_earlier_out_file(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    code, _, _ = run(capsys, "search", "-n", "4", "-k", "2", "-B", "7", "--out", str(out))
+    assert code == 0
+    earlier = out.read_text()
+    assert len(earlier.splitlines()) == 39
+    ck = tmp_path / "ck.jsonl"
+    run(capsys, "search", "-n", "4", "-k", "2", "-B", "5", "--resume", str(ck))
+    code, _, err = run(
+        capsys, "search", "-n", "4", "-k", "2", "-B", "6", "--resume", str(ck), "--out", str(out)
+    )
+    assert code == 2 and "different search" in err
+    assert out.read_text() == earlier
+    # a later successful search replaces the file rather than appending to it
+    code, _, _ = run(capsys, "search", "-n", "4", "-k", "2", "-B", "5", "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize("n, bound, workers", [("4", "7", "0"), ("4", "7", "-3"), ("40", "40", "1")])
+def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, workers):
+    code, out, err = run(capsys, "search", "-n", n, "-k", "2", "-B", bound, "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(ksumlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ksumlab", "ksums", "-k", "2", "1 2 3"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "3 4 5\n"

@@ -1,17 +1,22 @@
 """Bounded collision search: enumeration, grouping, dedupe, checkpoints."""
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ksumlab
 from ksumlab import search
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
-from ksumlab.multisets import ksums, parse_multiset, power_sum
+from ksumlab.multisets import ksums, normalize_affine, parse_multiset, power_sum
 from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
@@ -225,3 +230,85 @@ def test_checkpoint_keeps_chunks_finished_before_an_interruption(tmp_path, monke
     assert [json.loads(line)["chunk"] for line in lines[1:]] == [0, 1]
     monkeypatch.undo()
     assert find_collisions(spec, checkpoint=str(ck)) == fresh
+
+
+def _seen_set_stream(n, bound, symmetric):
+    """The candidate stream as a first-occurrence filter over all tuples."""
+    if symmetric:
+        for values in itertools.combinations_with_replacement(range(bound + 1), n // 2):
+            yield tuple(sorted([Fraction(v) for v in values] + [Fraction(-v) for v in values]))
+        return
+    seen = set()
+    for values in itertools.combinations_with_replacement(range(bound + 1), n):
+        shifted = tuple(Fraction(v) - Fraction(sum(values), n) for v in values)
+        if shifted not in seen:
+            seen.add(shifted)
+            yield shifted
+
+
+@pytest.mark.parametrize(
+    "n, bound, symmetric",
+    [(1, 3, False), (3, 0, False), (4, 7, False), (5, 4, False), (6, 3, False),
+     (2, 3, True), (6, 4, True), (8, 3, True)],
+)
+def test_candidate_stream_matches_seen_set_reference(n, bound, symmetric):
+    spec = SearchSpec(n=n, k=1, bound=bound, symmetric_only=symmetric)
+    got = list(enumerate_candidates(spec))
+    assert got == list(_seen_set_stream(n, bound, symmetric))
+    assert len(got) == search._candidate_count(spec)
+
+
+def _reference_class_key(first, second):
+    """Fraction form of the class key: normalize_affine over the union."""
+    ordered = tuple(sorted((tuple(sorted(first)), tuple(sorted(second)))))
+    _, shift, scale = normalize_affine(ordered[0] + ordered[1])
+    mapped = tuple(tuple(scale * (v + shift) for v in member) for member in ordered)
+    return min(
+        tuple(sorted(tuple(sorted(sign * v for v in member)) for member in mapped))
+        for sign in (1, -1)
+    )
+
+
+_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_values = st.lists(_fraction, min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_collision_class_key_matches_fraction_reference(data):
+    first = tuple(data.draw(_values))
+    second = tuple(data.draw(st.lists(st.sampled_from(first) | _fraction, min_size=1, max_size=5)))
+    scale = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool))
+    shift = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    image = tuple(tuple(scale * v + shift for v in member) for member in (second, first))
+    pairs = [(first, second), image, (tuple(data.draw(_values)), second)]
+    keys = [collision_class_key(*pair) for pair in pairs]
+    references = [_reference_class_key(*pair) for pair in pairs]
+    assert keys == references  # so keys agree exactly when the references do
+    assert [hash(key) for key in keys] == [hash(ref) for ref in references]
+    assert keys[0] == keys[1]  # the swapped affine image is the same collision
+
+
+def test_general_checkpoint_bytes_are_pinned(tmp_path):
+    ck = tmp_path / "progress.jsonl"
+    find_collisions(SearchSpec(n=4, k=2, bound=7), checkpoint=str(ck))
+    digest = hashlib.sha256(ck.read_bytes()).hexdigest()
+    assert digest == "4ceb3f95590d30a76077688244e218c10c08de9f9decd8c4453aef8a64d46ef5"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        find_collisions(SearchSpec(n=4, k=2, bound=5), workers=workers)
+
+
+def test_oversized_search_fails_fast(tmp_path):
+    ck = tmp_path / "progress.jsonl"
+    start = time.perf_counter()
+    for spec in (SearchSpec(n=40, k=2, bound=40), SearchSpec(n=40, k=2, bound=40, symmetric_only=True)):
+        with pytest.raises(ValueError, match="candidates"):
+            find_collisions(spec, checkpoint=str(ck))
+    assert time.perf_counter() - start < 1
+    assert not ck.exists()  # refused before the checkpoint is opened
+    largest = SearchSpec(n=12, k=4, bound=12, symmetric_only=True)
+    assert search._candidate_count(largest) == 18564 <= search.MAX_CANDIDATES
