@@ -21,6 +21,7 @@ from importlib import resources
 
 from .algebra import Monomial, Poly, svar
 from .elimination import (
+    K_SUM,
     N_ELEMENTS,
     coefficient_report,
     quadratic_at,
@@ -32,11 +33,10 @@ from .elimination import (
 from .known import DOUBLE_ROOT_SET
 from .multisets import (
     NumberMultiset,
-    affine_image,
+    centred_power_sums,
     format_multiset,
     ksums,
     parse_multiset,
-    power_sum_vector,
 )
 from .search import SearchSpec, find_collisions
 from .symfunc import (
@@ -64,16 +64,6 @@ def _resolve_set_args(raw: list[str]) -> list[NumberMultiset]:
         else:
             out.append(parse_multiset(item))
     return out
-
-
-def _shift_to_zero_s1(values: NumberMultiset) -> NumberMultiset:
-    """Shift so S_1 = 0, with a notice on stderr when a shift was needed."""
-    total = sum(values)
-    if total:
-        shift = -Fraction(total, len(values))
-        print(f"note: input shifted by {shift} so that S_1 = 0", file=sys.stderr)
-        return affine_image(values, Fraction(1), shift)
-    return values
 
 
 def cmd_ksums(args: argparse.Namespace) -> int:
@@ -134,6 +124,13 @@ def _fixture_polys() -> dict[int, Poly]:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    if args.check_fixtures and (args.n, args.k) != (N_ELEMENTS, K_SUM):
+        print(
+            f"error: the reference table is for n = {N_ELEMENTS}, k = {K_SUM},"
+            f" not n = {args.n}, k = {args.k}",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     try:
         if args.p < 1:
             raise BadRangeError(f"p must be positive, got {args.p}")
@@ -173,7 +170,10 @@ def _prepared_power_sums(raw_set: str, upto: int, quantity: str):
         raise ValueError("expected exactly one set")
     if len(sets[0]) != N_ELEMENTS:
         raise ValueError(f"set must have exactly {N_ELEMENTS} elements, got {len(sets[0])}")
-    s = power_sum_vector(_shift_to_zero_s1(sets[0]), upto)
+    total = sum(sets[0])
+    if total:
+        print(f"note: input shifted by {-total / N_ELEMENTS} so that S_1 = 0", file=sys.stderr)
+    s = centred_power_sums(sets[0], upto)
     if s[2] == 0:
         raise ValueError(f"S_2 = 0, {quantity} undefined")
     return s

@@ -58,7 +58,6 @@ class EliminationTables:
 
     low: dict[int, Poly]
     high: dict[int, Poly]
-    assumes_s1_zero: bool = True
 
 
 def _solve_linear(poly: Poly, var: Var, label: str) -> Poly:
@@ -154,24 +153,17 @@ def coefficient_report() -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def quadratic_at(evalues: Mapping[Var, Fraction] | PowerSumVector) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) of a*x^2 + b*x + c = 0 for S_6 at fixed E-values.
-
-    Accepts either a {Var: value} map over E-variables or a PowerSumVector
-    of E_1..E_14; the constant term folds in -E_14.
-    """
-    if isinstance(evalues, PowerSumVector):
-        values: Mapping[Var, Fraction] = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
-    else:
-        values = evalues
-    quad = fourteenth_quadratic()
-    e14 = values.get(evar(14))
-    if e14 is None:
+def quadratic_at(evalues: PowerSumVector) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (a, b, c) of a*x^2 + b*x + c = 0 for S_6 at the E-values
+    E_1..E_14 held in a PowerSumVector; the constant term folds in -E_14."""
+    if evalues.upto < 14:
         raise BadRangeError("E14 value required to form the quadratic")
+    values = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
+    quad = fourteenth_quadratic()
     return (
         quad.c2.evaluate(values),
         quad.c1.evaluate(values),
-        quad.c0.evaluate(values) - e14,
+        quad.c0.evaluate(values) - evalues[14],
     )
 
 

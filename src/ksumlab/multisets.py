@@ -1,4 +1,4 @@
-"""Number multisets, k-sum multiset generation, and affine normalization.
+"""Number multisets, k-sum multiset generation, and affine canonical forms.
 
 A multiset is stored as an ascending tuple of exact rationals, so multiset
 equality is plain tuple equality and every derived quantity is exact.
@@ -10,12 +10,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .algebra import RationalLike, over_common_denominator
 
 NumberMultiset = tuple[Fraction, ...]
+
+# ksums materialises every sum, so larger requests are refused before any
+# work; symmetric (16, 8) needs 12870 sums, and C(22, 11) = 705432 sums take
+# about 0.25 s and 35 MB.
+MAX_SUMS = 1_000_000
 
 
 class BadKError(ValueError):
@@ -105,6 +110,11 @@ def ksums(a: Sequence[RationalLike], k: int, denominator: int | None = None) -> 
     n = len(a)
     if not 1 <= k <= n:
         raise BadKError(f"k must be in 1..{n}, got {k}")
+    count = comb(n, k)
+    if count > MAX_SUMS:
+        raise ValueError(
+            f"{n} elements have {count} {k}-sums, more than the {MAX_SUMS} allowed; lower n or k"
+        )
     ints, den = over_common_denominator(a) if denominator is None else (a, denominator)
     sums = sorted(map(sum, combinations(ints, k)))
     g = gcd(den, *sums)
@@ -161,26 +171,39 @@ def affine_image(a: NumberMultiset, scale: RationalLike, shift: RationalLike) ->
     return as_multiset(t * x + c for x in a)
 
 
-def normalize_affine(a: NumberMultiset) -> tuple[NumberMultiset, Fraction, Fraction]:
-    """Canonical shift-and-scale representative of the affine orbit.
+def _centre(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators of ``x - mean`` over one positive denominator."""
+    ints, den = over_common_denominator(values)
+    size, total = len(ints), sum(ints)
+    return [size * x - total for x in ints], size * den
 
-    Shifts so the element sum vanishes, then applies the unique positive
-    scale making all entries integers with collective gcd 1 (an all-equal
-    input collapses to all zeros, scale 1).  Returns (result, shift, scale)
-    with result = {scale * (x + shift)}.
+
+def centred_power_sums(values: Sequence[RationalLike], m: int) -> PowerSumVector:
+    """Power sums 1..m of the multiset shifted so that its elements sum to zero."""
+    return _power_sums(*_centre(values), m)
+
+
+def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of multisets under one joint shift, positive scale
+    and reflection, ignoring their order.  Pairs with equal keys are the
+    same collision.
+
+    The union is centred over the integers and divided by its gcd; the key
+    is the lesser of the two reflections, a sorted tuple of sorted int
+    tuples, one per part.
     """
-    shift = -power_sum(a, 1) / len(a)
-    integers, common_den = over_common_denominator([x + shift for x in a])
-    common_gcd = gcd(*integers) or 1  # all zeros when the input is all-equal
-    return as_multiset(v // common_gcd for v in integers), shift, Fraction(common_den, common_gcd)
+    centred, _ = _centre([x for part in parts for x in part])
+    g = gcd(*centred) or 1  # all zeros when every element is equal
+    rest = iter(centred)
+    pieces = [[next(rest) // g for _ in part] for part in parts]
+    return min(
+        tuple(sorted(tuple(sorted(sign * v for v in piece)) for piece in pieces))
+        for sign in (1, -1)
+    )
 
 
-def canonical_orbit(a: NumberMultiset) -> NumberMultiset:
-    """Orbit representative under shift, positive scale, and reflection.
-
-    After normalize_affine, the sorted list is replaced by its negated-and-
-    sorted counterpart whenever the latter is lexicographically smaller.
-    """
-    rep, _, _ = normalize_affine(a)
-    reflected = as_multiset(-x for x in rep)
-    return min(rep, reflected)
+def canonical_orbit(a: Sequence[RationalLike]) -> NumberMultiset:
+    """Orbit representative under shift, positive scale and reflection: the
+    ``Fraction`` view of ``collision_class_key(a)[0]``, integers summing to
+    zero with gcd 1, or its reflection when that sorts first."""
+    return tuple(map(Fraction, collision_class_key(a)[0]))

@@ -26,12 +26,11 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb
 from typing import Iterator, Sequence
 
-from .algebra import over_common_denominator
 from .elimination import residual_relations
-from .multisets import NumberMultiset, SumMultiset, affine_image, ksums, power_sum_vector
+from .multisets import NumberMultiset, SumMultiset, centred_power_sums, collision_class_key, ksums
 
 CHUNK_SIZE = 256
 # Every candidate's key, C(n, k) integers, stays in memory until the buckets
@@ -238,27 +237,6 @@ def find_collisions(
     return records
 
 
-def collision_class_key(
-    first: NumberMultiset, second: NumberMultiset
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical form of an unordered pair under joint shift, positive
-    scale, and reflection.  Pairs with equal keys are the same collision.
-
-    The union is centred over the integers as ``size * x - total`` and
-    divided by its gcd; the key is the lesser of the two reflections, a
-    sorted pair of sorted int tuples.
-    """
-    ints, _ = over_common_denominator([*first, *second])
-    size, total = len(ints), sum(ints)
-    centred = [size * x - total for x in ints]
-    g = gcd(*centred) or 1  # all zeros when every element is equal
-    parts = (centred[: len(first)], centred[len(first) :])
-    return min(
-        tuple(sorted(tuple(sorted(sign * v // g for v in part)) for part in parts))
-        for sign in (1, -1)
-    )
-
-
 def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:
     """Keep one record per affine equivalence class, preserving order."""
     kept: list[CollisionRecord] = []
@@ -284,9 +262,7 @@ def verify_record(record: CollisionRecord) -> bool:
         return False
     if len(record.first) == 12 and record.k == 4:
         for member in (record.first, record.second):
-            shift = -sum(member) / len(member)
-            shifted = affine_image(member, Fraction(1), shift)
-            s = power_sum_vector(shifted, 12)
+            s = centred_power_sums(member, 12)
             if s[2] != 0 and any(residual_relations(s)):
                 return False
     return True

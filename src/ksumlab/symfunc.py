@@ -226,11 +226,6 @@ def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:
     return ksums(a, k).power_sums(pmax)
 
 
-def identity_fixture_lines(pmax: int = 14, k: int = 4, n: int = 12) -> list[str]:
-    """Fixture rendering of the S_1 = 0 expansions: one ``E<p> = ...`` per line."""
-    return [f"E{p} = {e_expansion(p, k, n, True).render()}" for p in range(1, pmax + 1)]
-
-
 def load_identity_fixtures(lines: Iterable[str]) -> dict[int, Poly]:
     """Parse fixture lines back into {p: polynomial}; '#' lines are comments."""
     out: dict[int, Poly] = {}

@@ -1,44 +1,23 @@
-"""Reference identities for (n, k) = (12, 4), tabulated by hand.
+"""Reference tables for (n, k) = (12, 4), tabulated by hand.
 
-Each entry is the expansion of E_p (the p-th power sum of the 495
-four-element sums) in the base power sums S_2..S_p after shifting so
-S_1 = 0.  The strings are kept in a fixed hand-written term order and
-parsed, never generated, so they are an independent check on the
-expansion machinery.
+The E_p identities themselves ship with the package as a hand-tabulated
+table, read here through ``load_identity_fixtures``; the quadratic's
+reference coefficients are ``elimination.REFERENCE_C1``/``REFERENCE_C2``.
+The strings below are kept in a fixed hand-written term order and parsed,
+never generated, so they are an independent check on the expansion and
+elimination machinery.
 """
 
-IDENTITY_TABLE = {
-    1: "0",
-    2: "120*S2",
-    3: "48*S3",
-    4: "-48*S4 + 84*S2^2",
-    5: "-120*S5 + 140*S2*S3",
-    6: "0*S6 + 40*S3^2 - 120*S2*S4 + 90*S2^3",
-    7: "648*S7 - 714*S2*S5 - 350*S3*S4 + 420*S2^2*S3",
-    8: "1632*S8 - 896*S2*S6 - 1120*S3*S5 - 280*S4^2 + 560*S2*S3^2 + 105*S2^4",
-    9: "-3480*S9 + 4824*S2*S7 + 1176*S3*S6 + 1764*S4*S5 - 3024*S2^2*S5"
-    " - 2520*S2*S3*S4 + 1260*S2^3*S3",
-    10: "-59520*S10 + 42840*S2*S8 + 29280*S3*S7 + 23520*S4*S6"
-    " - 15120*S2^2*S6 - 8400*S3^2*S4 + 3150*S2^3*S4 - 9450*S2*S4^2"
-    " + 6300*S2^2*S3^2 - 25200*S2*S3*S5 + 12600*S5^2",
-    11: "-407352*S11 + 222530*S2*S9 + 196350*S3*S8 + 155100*S4*S7"
-    " - 120120*S2*S3*S6 + 150612*S5*S6 - 97020*S2*S4*S5 - 55440*S3^2*S5"
-    " + 6930*S2^3*S5 - 55440*S2^2*S7 - 46200*S3*S4^2 + 34650*S2^2*S3*S4"
-    " + 15400*S2*S3^3",
-    12: "-2203488*S12 + 964128*S2*S10 + 998800*S3*S9 + 827640*S4*S8"
-    " - 178200*S2^2*S8 - 459360*S2*S3*S7 + 744480*S5*S7 + 373296*S6^2"
-    " - 415800*S2*S4*S6 - 258720*S3*S3*S6 + 13860*S2^3*S6 - 182952*S2*S5^2"
-    " - 443520*S3*S4*S5 + 83160*S2^2*S3*S5 - 69300*S4^3 + 51975*S2^2*S4^2"
-    " + 138600*S2*S3^2*S4 + 15400*S3^4",
-    14: "-48517440*S14 + 14260792*S2*S12 + 18521776*S3*S11 + 17649632*S4*S10"
-    " - 1513512*S2^2*S10 - 5005000*S2*S3*S9 + 15095080*S5*S9 + 14030016*S6*S8"
-    " - 5675670*S2*S4*S8 - 3723720*S3^2*S8 + 45045*S2^3*S8 + 7008144*S7^2"
-    " - 5045040*S2*S5*S7 - 7687680*S3*S4*S7 - 2270268*S2*S6^2"
-    " + 360360*S2^2*S3*S7 - 6726720*S3*S5*S6 - 3783780*S4^2*S6"
-    " + 630630*S2^2*S4*S6 + 840840*S2*S3^2*S6 - 3531528*S4*S5^2"
-    " + 378378*S2^2*S5^2 + 2522520*S2*S3*S4*S5 + 560560*S3^3*S5"
-    " + 525525*S2*S4^3 + 1051050*S3^2*S4^2",
-}
+from importlib import resources
+
+from ksumlab.symfunc import load_identity_fixtures
+
+
+def shipped_identities():
+    """The package's E_p table, {p: polynomial in S_2..S_p}."""
+    text = resources.files("ksumlab").joinpath("fixtures/identities_k4_n12.txt").read_text()
+    return load_identity_fixtures(text.splitlines())
+
 
 # Solved forms of the first four equations: S_p in the E-variables.
 LOW_TABLE = {
@@ -48,17 +27,7 @@ LOW_TABLE = {
     5: "7/34560*E2*E3 - 1/120*E5",
 }
 
-# Quadratic in S_6 from the fourteenth equation: leading and linear
-# coefficients as polynomials in the E-variables.
-QUADRATIC_C2 = "73458/5465*E2"
-QUADRATIC_C1 = (
-    "22556178701/5315943600*E3*E5 - 889/12*E8 - 15211/13392*E4^2"
-    " + 4783550233/119441640960*E2^2*E4"
-    " - 9881683541849/418343497545600*E2*E3^2"
-    " - 72629302403/477766563840000*E2^4"
-)
-
-# Closed form for the second root of that quadratic, given the power sums
+# Closed form for the second root of the S_6 quadratic, given the power sums
 # of one realizing set: coefficient of each listed S-monomial (the last
 # three are divided by S_2).
 SECOND_ROOT_TABLE = {

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from identity_tables import IDENTITY_TABLE
+from identity_tables import shipped_identities
 from ksumlab.algebra import Poly, evar, svar
 from ksumlab.cli import main as cli_main
 from ksumlab.elimination import (
@@ -99,11 +99,8 @@ def test_criterion_2_double_root_demo(report):
 
 def test_criterion_3_identity_regression(report):
     start = time.perf_counter()
-    mismatches = [
-        p
-        for p, text in IDENTITY_TABLE.items()
-        if e_expansion(p, 4, 12, True) != Poly.parse(text)
-    ]
+    table = shipped_identities()
+    mismatches = [p for p, poly in table.items() if e_expansion(p, 4, 12, True) != poly]
     spot_ok = (
         e_expansion(2, 4, 12, True) == Poly.parse("120*S2")
         and e_expansion(3, 4, 12, True) == Poly.parse("48*S3")
@@ -112,11 +109,11 @@ def test_criterion_3_identity_regression(report):
         and len(e_expansion(14, 4, 12, True)) == 26
     )
     elapsed = time.perf_counter() - start
-    ok = not mismatches and spot_ok and elapsed < 60.0
+    ok = not mismatches and sorted(table) == list(range(1, 15)) and spot_ok and elapsed < 60.0
     report(
         3,
         ok,
-        f"{len(IDENTITY_TABLE)} identities reproduced coefficient-for-coefficient "
+        f"{len(table)} identities reproduced coefficient-for-coefficient "
         f"in {elapsed:.3f}s, limit 60s",
     )
 

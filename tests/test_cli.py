@@ -12,7 +12,6 @@ from ksumlab import search
 from ksumlab.cli import main
 from ksumlab.multisets import parse_multiset
 from ksumlab.search import collision_class_key
-from ksumlab.symfunc import identity_fixture_lines
 
 FIRST = "0 0 1 -1 2 -2 4 -4 7 -7 7 -7"
 SECOND = "1 -1 2 -2 3 -3 4 -4 5 -5 8 -8"
@@ -132,9 +131,7 @@ def test_expand_rejects_bad_p(capsys):
 
 def test_expand_fixture_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "fixtures.txt"
-    lines = identity_fixture_lines(pmax=3)
-    lines[1] = "E2 = 121*S2"  # poison one coefficient
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("E1 = 0\nE2 = 121*S2\nE3 = 48*S3\n")  # one poisoned coefficient
     monkeypatch.setenv("KSUMLAB_FIXTURES", str(path))
     code, out, _ = run(capsys, "expand", "2", "--check-fixtures")
     assert code == 1
@@ -352,15 +349,48 @@ def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, worke
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv, timeout=60):
+    """``python -m ksumlab`` in a subprocess; raises if it outlives ``timeout``."""
     src = os.path.dirname(os.path.dirname(ksumlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "ksumlab", "ksums", "-k", "2", "1 2 3"],
+    return subprocess.run(
+        [sys.executable, "-m", "ksumlab", *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module("ksums", "-k", "2", "1 2 3")
     assert result.returncode == 0
     assert result.stdout == "3 4 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ksums", "0^40", "-k", "20"),
+        ("collide", "0^40", "0^40", "-k", "20"),
+        ("search", "-n", "40", "-k", "20", "-B", "0"),  # one candidate, C(40, 20) sums
+    ],
+)
+def test_oversized_k_sums_fail_fast(argv):
+    result = run_module(*argv, timeout=5)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error:") and "137846528820" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_largest_admitted_k_sums_succeed():
+    result = run_module("ksums", " ".join(map(str, range(22))), "-k", "11")
+    assert result.returncode == 0
+    assert result.stdout.startswith("55 56 57^2 ")
+
+
+@pytest.mark.parametrize("size", [("-k", "3"), ("-n", "13")])
+def test_expand_check_fixtures_outside_twelve_four_is_a_usage_error(capsys, size):
+    code, out, err = run(capsys, "expand", "2", *size, "--check-fixtures")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n = 12, k = 4" in err

@@ -1,0 +1,118 @@
+"""Random command lines over all five subcommands keep the exit-code contract:
+0, 1 or 2, and never a traceback."""
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from ksumlab.cli import main
+from ksumlab.multisets import MAX_SUMS
+from ksumlab.search import MAX_CANDIDATES, SearchSpec, _candidate_count
+
+# Admitted k-sum requests above this many sums are skipped, not because they
+# fail but because printing them is slow: formatting C(22, 11) = 705432 sums
+# takes several seconds.  Requests the guard refuses are always kept.
+FAST_SUMS = 20_000
+
+_JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^"]
+
+# Sizes up to 40, with small ones drawn often enough to reach the searches
+# and comparisons that run to the end.
+_size = st.integers(1, 8) | st.integers(1, 40)
+_arity = st.integers(-1, 8) | st.integers(-1, 40)
+
+
+@st.composite
+def set_literal(draw, size):
+    """A set literal of about ``size`` elements: integers, rationals,
+    ``x^m`` runs, zero denominators, junk, or an ``@file`` that is missing."""
+    kind = draw(st.sampled_from(["ints", "ints", "run", "mixed", "missing"]))
+    if kind == "missing":
+        return "@{missing}"
+    if kind == "run":
+        return f"{draw(st.integers(-9, 9))}^{size}"
+    if kind == "ints":
+        return " ".join(str(draw(st.integers(-9, 9))) for _ in range(size))
+    token = st.one_of(
+        st.integers(-9, 9).map(str),
+        st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 4)),
+        st.builds("{}^{}".format, st.integers(-9, 9), st.integers(0, 4)),
+        st.sampled_from(_JUNK),
+    )
+    return " ".join(draw(st.lists(token, max_size=size + 2)))
+
+
+@st.composite
+def ksums_argv(draw):
+    n, k = draw(_size), draw(_arity)
+    assume(not 1 <= k <= n or comb(n, k) <= FAST_SUMS or comb(n, k) > MAX_SUMS)
+    argv = ["ksums", draw(set_literal(n)), "-k", str(k)]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def collide_argv(draw):
+    n, k = draw(_size), draw(_arity)
+    assume(not 1 <= k <= n or comb(n, k) <= FAST_SUMS or comb(n, k) > MAX_SUMS)
+    other = draw(st.sampled_from([n, n, n + 1]))
+    return ["collide", draw(set_literal(n)), draw(set_literal(other)), "-k", str(k)]
+
+
+@st.composite
+def expand_argv(draw):
+    # e_expansion has no cost guard: `expand 30 -k 15 -n 30` runs for more
+    # than 20 s, so p, k and n stay small here.
+    p, k, n = draw(st.integers(-1, 26)), draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    flags = draw(st.lists(st.sampled_from(["--s1-zero", "--check-fixtures"]), unique=True))
+    return ["expand", str(p), "-k", str(k), "-n", str(n), *flags]
+
+
+@st.composite
+def eliminate_argv(draw):
+    mode = draw(st.sampled_from(["--verify-coefficients", "--example1", "--second-root", "--residuals"]))
+    if mode in ("--second-root", "--residuals"):
+        return ["eliminate", mode, draw(set_literal(draw(st.sampled_from([12, 12, 11]))))]
+    return ["eliminate", mode]
+
+
+@st.composite
+def search_argv(draw):
+    n, k, bound = draw(_size), draw(_arity), draw(st.integers(-1, 6) | st.integers(-1, 40))
+    symmetric = draw(st.booleans())
+    try:
+        spec = SearchSpec(n, k, bound, symmetric_only=symmetric)
+    except ValueError:
+        pass  # refused before any work
+    else:
+        # Neither guard bounds the work that grows with candidates x C(n, k)
+        # stored sums, nor the pairs of a bucket: at k = n every candidate
+        # has the same single sum, so all count^2 / 2 pairs become records.
+        # Only spaces that a guard refuses, or small ones, are run.
+        count, sums = _candidate_count(spec), comb(n, k)
+        small = count * sums <= FAST_SUMS and (k < n or count <= 100)
+        assume(count > MAX_CANDIDATES or sums > MAX_SUMS or small)
+    argv = ["search", "-n", str(n), "-k", str(k), "-B", str(bound), "--workers", "1"]
+    argv += ["--symmetric"] if symmetric else []
+    argv += ["--out", "{out}"] if draw(st.booleans()) else []
+    argv += ["--resume", "{resume}"] if draw(st.booleans()) else []
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(ksums_argv(), collide_argv(), expand_argv(), eliminate_argv(), search_argv()))
+def test_random_command_lines_keep_the_exit_code_contract(tmp_path, argv):
+    scratch = tempfile.mkdtemp(dir=tmp_path)
+    files = {name: f"{scratch}/{name}" for name in ("missing", "out", "resume")}
+    argv = [arg.format(**files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

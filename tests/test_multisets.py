@@ -1,4 +1,4 @@
-"""Multiset core: parsing, k-sums, power sums, affine normalization."""
+"""Multiset core: parsing, k-sums, power sums, affine canonical forms."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import (
+    MAX_SUMS,
     BadKError,
     affine_image,
     as_multiset,
     canonical_orbit,
+    centred_power_sums,
+    collision_class_key,
     format_multiset,
     ksums,
     multiset_equal,
-    normalize_affine,
     parse_multiset,
     power_sum,
     power_sum_vector,
@@ -104,12 +106,24 @@ def test_power_sum_vector_examples():
         odd[0]
 
 
-def test_normalize_affine_examples():
-    assert normalize_affine(as_multiset([1, 2, 3])) == ((-1, 0, 1), -2, 1)
-    assert normalize_affine(as_multiset([2, 4, 6])) == ((-1, 0, 1), -4, Fraction(1, 2))
-    assert normalize_affine(as_multiset([0, 0, 0])) == ((0, 0, 0), 0, 1)
-    rep, _, _ = normalize_affine(as_multiset([Fraction(1, 2), Fraction(3, 2)]))
-    assert rep == (-1, 1)
+def test_ksums_refuses_oversized_requests_before_any_work():
+    with pytest.raises(ValueError, match="137846528820"):
+        ksums(as_multiset([0] * 40), 20)
+    assert comb(22, 11) <= MAX_SUMS < comb(40, 20)
+
+
+def test_centred_power_sums_examples():
+    assert centred_power_sums(as_multiset([1, 2, 3]), 3).values == (0, 2, 0)
+    assert centred_power_sums(as_multiset([0, 1]), 2).values == (0, Fraction(1, 2))
+    assert centred_power_sums(COLLISION_FIRST, 12) == power_sum_vector(COLLISION_FIRST, 12)
+
+
+def test_canonical_orbit_examples():
+    assert canonical_orbit(as_multiset([1, 2, 3])) == (-1, 0, 1)
+    assert canonical_orbit(as_multiset([2, 4, 6])) == (-1, 0, 1)
+    assert canonical_orbit(as_multiset([0, 0, 0])) == (0, 0, 0)
+    assert canonical_orbit(as_multiset([Fraction(1, 2), Fraction(3, 2)])) == (-1, 1)
+    assert canonical_orbit(as_multiset([0, 0, 3])) == (-2, 1, 1)
 
 
 def test_canonical_orbit_reflection_rule():
@@ -160,15 +174,26 @@ def test_ksums_affine_equivariance(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_normalize_affine_constant_on_orbits(data):
+def test_canonical_orbit_constant_on_orbits(data):
     a = data.draw(multisets)
-    t = data.draw(rationals.filter(lambda f: f > 0))
+    t = data.draw(rationals.filter(lambda f: f != 0))
     c = data.draw(rationals)
-    rep, _, _ = normalize_affine(a)
-    moved_rep, _, _ = normalize_affine(affine_image(a, t, c))
-    assert moved_rep == rep
-    again, shift, scale = normalize_affine(rep)
-    assert again == rep and shift == 0 and scale == 1
+    rep = canonical_orbit(a)
+    assert canonical_orbit(affine_image(a, t, c)) == rep
+    assert canonical_orbit(rep) == rep
+    assert sum(rep) == 0 and all(v.denominator == 1 for v in rep)
+    assert gcd(*(v.numerator for v in rep)) in (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_collision_class_key_constant_on_orbits(data):
+    parts = data.draw(st.lists(multisets, min_size=1, max_size=3))
+    t = data.draw(rationals.filter(lambda f: f != 0))
+    c = data.draw(rationals)
+    key = collision_class_key(*parts)
+    assert collision_class_key(*(affine_image(part, t, c) for part in parts)) == key
+    assert collision_class_key(*reversed(parts)) == key
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ksumlab
 from ksumlab import search
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
-from ksumlab.multisets import ksums, normalize_affine, parse_multiset, power_sum
+from ksumlab.multisets import canonical_orbit, ksums, parse_multiset, power_sum
 from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
@@ -258,11 +258,22 @@ def test_candidate_stream_matches_seen_set_reference(n, bound, symmetric):
     assert len(got) == search._candidate_count(spec)
 
 
-def _reference_class_key(first, second):
-    """Fraction form of the class key: normalize_affine over the union."""
-    ordered = tuple(sorted((tuple(sorted(first)), tuple(sorted(second)))))
-    _, shift, scale = normalize_affine(ordered[0] + ordered[1])
-    mapped = tuple(tuple(scale * (v + shift) for v in member) for member in ordered)
+def _rational_gcd(values):
+    """Greatest rational dividing every value, by Euclid's algorithm on Fractions."""
+    g = Fraction(0)
+    for v in values:
+        while v:
+            g, v = v, g % v
+    return abs(g)
+
+
+def _reference_class_key(*parts):
+    """Fraction form of the class key: shift the union to mean zero, divide
+    by the rational gcd of the result, and take the lesser reflection."""
+    union = [v for part in parts for v in part]
+    mean = sum(union, Fraction(0)) / len(union)
+    scale = _rational_gcd(v - mean for v in union) or 1  # every element equal
+    mapped = [[(v - mean) / scale for v in part] for part in parts]
     return min(
         tuple(sorted(tuple(sorted(sign * v for v in member)) for member in mapped))
         for sign in (1, -1)
@@ -287,6 +298,7 @@ def test_collision_class_key_matches_fraction_reference(data):
     assert keys == references  # so keys agree exactly when the references do
     assert [hash(key) for key in keys] == [hash(ref) for ref in references]
     assert keys[0] == keys[1]  # the swapped affine image is the same collision
+    assert canonical_orbit(first) == _reference_class_key(first)[0]
 
 
 def test_general_checkpoint_bytes_are_pinned(tmp_path):

@@ -3,13 +3,12 @@
 import hashlib
 import random
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identity_tables import IDENTITY_TABLE
+from identity_tables import shipped_identities
 from ksumlab.algebra import Poly, svar
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import as_multiset, power_sum
@@ -19,7 +18,6 @@ from ksumlab.symfunc import (
     composition,
     e_expansion,
     e_power_sums,
-    identity_fixture_lines,
     load_identity_fixtures,
     macmahon_reduce,
     monomial_power_sum_direct,
@@ -144,8 +142,10 @@ def test_e_expansion_displayed_examples():
 
 
 def test_e_expansion_full_table_regression():
-    for p, text in IDENTITY_TABLE.items():
-        assert e_expansion(p, 4, 12, True) == Poly.parse(text), f"identity {p}"
+    table = shipped_identities()
+    assert sorted(table) == list(range(1, 15))
+    for p, poly in table.items():
+        assert e_expansion(p, 4, 12, True) == poly, f"identity {p}"
 
 
 def test_e_expansion_bad_ranges():
@@ -183,19 +183,13 @@ def test_e_power_sums_zero_set():
 
 
 def test_fixture_lines_round_trip():
-    lines = identity_fixture_lines(pmax=8)
-    table = load_identity_fixtures(["# comment", ""] + lines)
-    assert sorted(table) == list(range(1, 9))
+    lines = ["# comment", "", "E1 = 0", "E2 = 120*S2", "E3 = 48*S3", " E4 = -48*S4 + 84*S2^2 "]
+    table = load_identity_fixtures(lines)
+    assert sorted(table) == [1, 2, 3, 4]
     for p, poly in table.items():
         assert poly == e_expansion(p, 4, 12, True)
-
-
-def test_bundled_fixture_file_is_current():
-    text = resources.files("ksumlab").joinpath("fixtures/identities_k4_n12.txt").read_text()
-    table = load_identity_fixtures(text.splitlines())
-    assert sorted(table) == list(range(1, 15))
-    regenerated = load_identity_fixtures(identity_fixture_lines(pmax=14))
-    assert table == regenerated
+    with pytest.raises(ValueError):
+        load_identity_fixtures(["F2 = 120*S2"])
 
 
 # sha256 of the newline-joined renders, recorded from the Fraction-keyed
