@@ -34,7 +34,7 @@ from .known import DOUBLE_ROOT_SET
 from .multisets import (
     NumberMultiset,
     centred_power_sums,
-    format_multiset,
+    format_runs,
     ksums,
     parse_multiset,
 )
@@ -76,15 +76,14 @@ def cmd_ksums(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    runs = sums.runs()
     if args.json:
-        payload = {
-            "n": sums.source_n,
-            "k": sums.source_k,
-            "sums": [_json_number(v) for v in sums.sums],
-        }
-        print(json.dumps(payload))
+        values: list = []
+        for value, count in runs:
+            values += [_json_number(value)] * count
+        print(json.dumps({"n": sums.source_n, "k": sums.source_k, "sums": values}))
     else:
-        print(format_multiset(sums.sums))
+        print(format_runs(runs))
     return OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, gcd
 from typing import Iterable, Sequence
 
@@ -68,16 +68,12 @@ def format_multiset(values: Iterable[RationalLike], run_length: bool = True) -> 
     elements = sorted(Fraction(v) for v in values)
     if not run_length:
         return " ".join(str(v) for v in elements)
-    chunks: list[str] = []
-    i = 0
-    while i < len(elements):
-        j = i
-        while j < len(elements) and elements[j] == elements[i]:
-            j += 1
-        count = j - i
-        chunks.append(str(elements[i]) if count == 1 else f"{elements[i]}^{count}")
-        i = j
-    return " ".join(chunks)
+    return format_runs((v, len(list(group))) for v, group in groupby(elements))
+
+
+def format_runs(runs: Iterable[tuple[Fraction, int]]) -> str:
+    """Render ascending ``(value, multiplicity)`` runs as ``format_multiset`` does."""
+    return " ".join(str(v) if count == 1 else f"{v}^{count}" for v, count in runs)
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,22 @@ class SumMultiset:
     def sums(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
+    def runs(self) -> list[tuple[Fraction, int]]:
+        """Ascending ``(sum, multiplicity)`` pairs, one ``Fraction`` per distinct sum."""
+        return [(Fraction(v, self.denominator), len(list(group))) for v, group in groupby(self.numerators)]
+
     def power_sums(self, m: int) -> PowerSumVector:
         """Power sums 1..m of the sums."""
         return _power_sums(self.numerators, self.denominator, m)
+
+
+def check_sum_count(n: int, k: int) -> None:
+    """Refuse, before any work, a request for more than ``MAX_SUMS`` k-sums."""
+    count = comb(n, k)
+    if count > MAX_SUMS:
+        raise ValueError(
+            f"{n} elements have {count} {k}-sums, more than the {MAX_SUMS} allowed; lower n or k"
+        )
 
 
 def ksums(a: Sequence[RationalLike], k: int, denominator: int | None = None) -> SumMultiset:
@@ -110,11 +119,7 @@ def ksums(a: Sequence[RationalLike], k: int, denominator: int | None = None) -> 
     n = len(a)
     if not 1 <= k <= n:
         raise BadKError(f"k must be in 1..{n}, got {k}")
-    count = comb(n, k)
-    if count > MAX_SUMS:
-        raise ValueError(
-            f"{n} elements have {count} {k}-sums, more than the {MAX_SUMS} allowed; lower n or k"
-        )
+    check_sum_count(n, k)
     ints, den = over_common_denominator(a) if denominator is None else (a, denominator)
     sums = sorted(map(sum, combinations(ints, k)))
     g = gcd(den, *sums)

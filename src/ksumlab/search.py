@@ -1,20 +1,25 @@
 """Bounded exhaustive search for distinct multisets with equal k-sums.
 
 Candidates are enumerated deterministically as integer numerators over
-one shared denominator, bucketed by the integer form of their k-sum
-multiset, and every pair sharing a bucket becomes a collision record;
-only the members of a shared bucket are ever turned into Fractions.
+one shared denominator and bucketed by one exact int each, their k-sum
+histogram packed by Kronecker substitution (see ``_chunk_pairs``); every
+pair sharing a bucket becomes a collision record.  Only the members of a
+shared bucket get their sorted k-sums, which order the records and check
+the bucket, and only they are turned into Fractions.
 Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
 the nondecreasing tuples from {0..B}, the one starting at 0, centred to
 sum zero, and is exponential in n.  Spaces of more than ``MAX_CANDIDATES``
-candidates are refused up front.
+candidates, more than ``MAX_SUMS`` k-sums per candidate or more than
+``MAX_KEY_BITS`` of keys are refused up front; more than ``MAX_PAIRS``
+pairs of candidates with equal k-sums are refused once the buckets are
+formed, before any record is built.
 
 Chunked work partitioning keeps parallel runs reproducible: workers map
 chunks to keys and the merge is ordered, so the record list never depends
 on the worker count.  A checkpoint file holds a header fixing the search,
-then one JSON line of keys per chunk, written as the chunk finishes; a
+then one JSON line of hex keys per chunk, written as the chunk finishes; a
 resumed run enumerates the candidates again and keys only missing chunks.
 """
 
@@ -30,13 +35,25 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .elimination import residual_relations
-from .multisets import NumberMultiset, SumMultiset, centred_power_sums, collision_class_key, ksums
+from .multisets import (
+    NumberMultiset,
+    SumMultiset,
+    centred_power_sums,
+    check_sum_count,
+    collision_class_key,
+    ksums,
+)
 
 CHUNK_SIZE = 256
-# Every candidate's key, C(n, k) integers, stays in memory until the buckets
-# are formed, so larger spaces are refused before any work.  Symmetric
-# (12, 4, B=12) has 18564 candidates and peaks near 180 MB.
-MAX_CANDIDATES = 50_000
+# Every candidate and its key stay in memory until the buckets are formed,
+# so larger spaces are refused before any work.  Symmetric (12, 4, B=20)
+# has 230230 candidates and 333603270 key bits at most; it takes about 4 s
+# and peaks near 150 MB, as does general (3, 1, B=700) with 246051.
+MAX_CANDIDATES = 250_000
+MAX_KEY_BITS = 400_000_000
+# Every pair in a bucket becomes a record, about 19 us and 0.4 KB each;
+# at k = n all candidates share one bucket.
+MAX_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -107,17 +124,59 @@ def enumerate_candidates(spec: SearchSpec) -> Iterator[NumberMultiset]:
         yield _as_fractions(nums, den)
 
 
-Key = tuple[int, tuple[int, ...]]  # (denominator, numerators) of a candidate's k-sums
+Key = int  # a candidate's packed k-sum histogram; see _chunk_pairs
+
+
+def _key_arity(n: int, k: int) -> tuple[int, int]:
+    """The arity j whose sums are packed, and the bits per histogram bin.
+
+    Candidates sum to zero, so their k-sums are their negated (n - k)-sums
+    and the lesser arity gives the same buckets.  No bin of i-sums counts
+    more than C(n, i) <= C(n, j) subsets, for i <= j <= n / 2.
+    """
+    j = min(k, n - k)
+    return j, comb(n, j).bit_length()
+
+
+def _key_bits(spec: SearchSpec) -> int:
+    """Bits of the widest packed key a candidate of the space can have."""
+    span = 0 if spec.n == 1 else 2 * spec.bound if spec.symmetric_only else spec.bound
+    j, width = _key_arity(spec.n, spec.k)
+    return (j * span + 1) * width
 
 
 def _chunk_pairs(args: tuple[int, int, Sequence[Numerators]]) -> list[Key]:
+    """The packed key of each candidate of one chunk.
+
+    A candidate's offsets ``(x - min) / den`` are integers, and the number
+    of j-subsets with offset sum s is the coefficient of y^j z^s in the
+    product of (1 + y z^offset), with j from ``_key_arity``.  The product
+    is taken in one int by Kronecker substitution: z is a bin of w bits, y
+    a level of j * span + 1 bins, and levels above j are masked off.  A bin
+    never holds more than 2^w - 1, so no bin carries into the next.  The
+    key is level j, shifted down to its lowest nonzero bin.  Candidates are
+    centred, so sum multisets that are translates of each other are equal:
+    two candidates share a key exactly when their k-sums are equal.
+    """
     k, den, chunk = args
-    return [(s.denominator, s.numerators) for s in (ksums(nums, k, den) for nums in chunk)]
+    j, width = _key_arity(len(chunk[0]), k)
+    span = max(c[-1] - c[0] for c in chunk) // den
+    level = (j * span + 1) * width
+    top = j * level
+    mask = (1 << (top + level)) - 1
+    keys = []
+    for nums in chunk:
+        low, packed = nums[0], 1
+        for x in nums:
+            packed = (packed + (packed << (level + (x - low) // den * width))) & mask
+        lowest = (sum(nums[:j]) - j * low) // den
+        keys.append(packed >> (top + lowest * width))
+    return keys
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
     return {
-        "format": 2,
+        "format": 3,
         "n": spec.n,
         "k": spec.k,
         "bound": spec.bound,
@@ -128,7 +187,7 @@ def _checkpoint_header(spec: SearchSpec) -> dict:
 
 def _decode_chunk(line: str | bytes, sizes: list[int]) -> tuple[int, list[Key]]:
     data = json.loads(line)
-    chunk_id, keys = data["chunk"], [(den, tuple(nums)) for den, nums in data["keys"]]
+    chunk_id, keys = data["chunk"], [int(key, 16) for key in data["keys"]]
     if not 0 <= chunk_id < len(sizes) or len(keys) != sizes[chunk_id]:
         raise ValueError(f"chunk {chunk_id} does not fit this search")
     return chunk_id, keys
@@ -191,6 +250,13 @@ def find_collisions(
             f"the search space has {count} candidates, more than the {MAX_CANDIDATES} allowed;"
             " lower the bound or n"
         )
+    check_sum_count(spec.n, spec.k)
+    key_bits = count * _key_bits(spec)
+    if key_bits > MAX_KEY_BITS:
+        raise ValueError(
+            f"the keys of the search space take up to {key_bits} bits, more than the"
+            f" {MAX_KEY_BITS} allowed; lower the bound"
+        )
     den, stream = _candidates(spec)
     candidates = list(stream)
     chunks = [candidates[i : i + CHUNK_SIZE] for i in range(0, len(candidates), CHUNK_SIZE)]
@@ -212,26 +278,34 @@ def find_collisions(
         for chunk_id, keys in zip(pending, results):
             done[chunk_id] = keys
             if out:
-                print(json.dumps({"chunk": chunk_id, "keys": keys}), file=out)
+                print(json.dumps({"chunk": chunk_id, "keys": [format(key, "x") for key in keys]}), file=out)
 
     groups: dict[Key, list[Numerators]] = {}
     for chunk_id, chunk in enumerate(chunks):
         for candidate, key in zip(chunk, done[chunk_id]):
             groups.setdefault(key, []).append(candidate)
 
-    # Order as (sums, first, second) would order Fractions: every key's
+    shared = [members for members in groups.values() if len(members) > 1]
+    pair_count = sum(comb(len(members), 2) for members in shared)
+    if pair_count > MAX_PAIRS:
+        raise ValueError(
+            f"the search space has {pair_count} pairs of candidates with equal {spec.k}-sums,"
+            f" more than the {MAX_PAIRS} allowed; lower the bound or k"
+        )
+    # Order as (sums, first, second) would order Fractions: every sum's
     # denominator divides den, and all candidates share den.
-    pairs = [
-        (tuple(v * (den // sum_den) for v in nums), a, b, SumMultiset(nums, sum_den, spec.n, spec.k))
-        for (sum_den, nums), members in groups.items()
-        if len(members) > 1
-        for a, b in combinations(sorted(members), 2)
-    ]
+    pairs = []
+    for members in shared:
+        sums = ksums(members[0], spec.k, den)
+        if any(ksums(other, spec.k, den) != sums for other in members[1:]):
+            source = f"checkpoint {checkpoint}" if checkpoint else "keying"
+            raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
+        order = tuple(v * (den // sums.denominator) for v in sums.numerators)
+        members = sorted(members)
+        views = [_as_fractions(nums, den) for nums in members]  # one per member, not per pair
+        pairs += [(order, a, b, sums, x, y) for (a, x), (b, y) in combinations(zip(members, views), 2)]
     pairs.sort(key=lambda pair: pair[:3])
-    records = [
-        CollisionRecord(_as_fractions(a, den), _as_fractions(b, den), spec.k, sums)
-        for _, a, b, sums in pairs
-    ]
+    records = [CollisionRecord(x, y, spec.k, sums) for _, _, _, sums, x, y in pairs]
     if spec.dedupe_affine:
         records = dedupe_records(records)
     return records

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +68,8 @@ def test_ksums_json_round_trips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"n": 3, "k": 2, "sums": [1, "3/2", "3/2"]}
+    assert out == '{"n": 3, "k": 2, "sums": [1, "3/2", "3/2"]}\n'
+    assert run(capsys, "ksums", "1/2 1/2 1", "-k", "2") == (0, "1 3/2^2\n", "")
 
 
 def test_ksums_from_file(tmp_path, capsys):
@@ -347,6 +350,22 @@ def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, worke
     code, out, err = run(capsys, "search", "-n", n, "-k", "2", "-B", bound, "--workers", workers)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason, seconds",
+    [
+        (("-n", "2", "-k", "1", "-B", "49999"), "bits", 0.5),  # refused before any work
+        (("-n", "10", "-k", "10", "-B", "8"), "pairs", 5),  # refused once bucketed
+    ],
+)
+def test_search_refuses_oversized_keys_and_buckets_fast(capsys, tmp_path, argv, reason, seconds):
+    out = tmp_path / "records.jsonl"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "search", *argv, "--out", str(out))
+    assert time.perf_counter() - start < seconds
+    assert code == 2 and stdout == "" and out.read_text() == ""
+    assert err.startswith("error:") and reason in err and "Traceback" not in err
 
 
 def run_module(*argv, timeout=60):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from ksumlab.cli import main
 from ksumlab.multisets import MAX_SUMS
-from ksumlab.search import MAX_CANDIDATES, SearchSpec, _candidate_count
+from ksumlab.search import MAX_CANDIDATES, MAX_KEY_BITS, SearchSpec, _candidate_count, _key_bits
 
 # Admitted k-sum requests above this many sums are skipped, not because they
-# fail but because printing them is slow: formatting C(22, 11) = 705432 sums
-# takes several seconds.  Requests the guard refuses are always kept.
+# fail but because they are slow: `collide` on two differing 22-element sets
+# at k = 11, C(22, 11) = 705432 sums, takes about 3 s.  Requests the guard
+# refuses are always kept.
 FAST_SUMS = 20_000
 
 _JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^"]
@@ -88,13 +89,12 @@ def search_argv(draw):
     except ValueError:
         pass  # refused before any work
     else:
-        # Neither guard bounds the work that grows with candidates x C(n, k)
-        # stored sums, nor the pairs of a bucket: at k = n every candidate
-        # has the same single sum, so all count^2 / 2 pairs become records.
-        # Only spaces that a guard refuses, or small ones, are run.
+        # No guard bounds the k-sums built for the members of shared buckets,
+        # which grow with candidates x C(n, k), so only spaces that a guard
+        # refuses, or small ones, are run.
         count, sums = _candidate_count(spec), comb(n, k)
-        small = count * sums <= FAST_SUMS and (k < n or count <= 100)
-        assume(count > MAX_CANDIDATES or sums > MAX_SUMS or small)
+        refused = count > MAX_CANDIDATES or sums > MAX_SUMS or count * _key_bits(spec) > MAX_KEY_BITS
+        assume(refused or count * sums <= FAST_SUMS)
     argv = ["search", "-n", str(n), "-k", str(k), "-B", str(bound), "--workers", "1"]
     argv += ["--symmetric"] if symmetric else []
     argv += ["--out", "{out}"] if draw(st.booleans()) else []

@@ -18,6 +18,7 @@ from ksumlab.multisets import (
     centred_power_sums,
     collision_class_key,
     format_multiset,
+    format_runs,
     ksums,
     multiset_equal,
     parse_multiset,
@@ -217,6 +218,9 @@ def test_ksums_integer_form_matches_fraction_reference(data):
     assert sums.sums == reference
     assert sums.denominator > 0 and gcd(sums.denominator, *sums.numerators) == 1
     assert sums.numerators == tuple(v * sums.denominator for v in reference)
+    runs = sums.runs()
+    assert [v for v, count in runs for _ in range(count)] == list(reference)
+    assert format_runs(runs) == format_multiset(reference)
 
 
 @settings(max_examples=200, deadline=None)

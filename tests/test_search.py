@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -301,11 +302,121 @@ def test_collision_class_key_matches_fraction_reference(data):
     assert canonical_orbit(first) == _reference_class_key(first)[0]
 
 
+def _bin_width(n, k):
+    return max(comb(n, j) for j in range(k + 1)).bit_length()
+
+
+def _decode_key(key, width):
+    """Bin counts of a packed key, lowest bin first."""
+    bins = []
+    while key:
+        bins.append(key & ((1 << width) - 1))
+        key >>= width
+    return bins
+
+
+def _sorted_sum_histogram(values, k):
+    """Counts of the k-sums of ``values`` at each integer step above the least."""
+    sums = ksums(values, k).sums
+    bins = [0] * int(sums[-1] - sums[0] + 1)
+    for s in sums:
+        bins[int(s - sums[0])] += 1
+    return bins
+
+
 def test_general_checkpoint_bytes_are_pinned(tmp_path):
+    spec = SearchSpec(n=4, k=2, bound=7)
     ck = tmp_path / "progress.jsonl"
-    find_collisions(SearchSpec(n=4, k=2, bound=7), checkpoint=str(ck))
+    find_collisions(spec, checkpoint=str(ck))
     digest = hashlib.sha256(ck.read_bytes()).hexdigest()
-    assert digest == "4ceb3f95590d30a76077688244e218c10c08de9f9decd8c4453aef8a64d46ef5"
+    assert digest == "71475c376f43200ce520dd49ffd176f766dc8906d38ee559cc23b741beea39f5"
+    lines = ck.read_text().splitlines()
+    keys = [int(key, 16) for line in lines[1:] for key in json.loads(line)["keys"]]
+    candidates = list(enumerate_candidates(spec))
+    assert len(keys) == len(candidates)
+    for key, candidate in zip(keys, candidates):
+        assert _decode_key(key, _bin_width(4, 2)) == _sorted_sum_histogram(candidate, 2)
+
+
+def test_format_two_checkpoint_is_refused(tmp_path):
+    spec = SearchSpec(n=4, k=2, bound=7)
+    header = {"format": 2, "n": 4, "k": 2, "bound": 7, "symmetric": False, "chunk_size": search.CHUNK_SIZE}
+    sums = [ksums(candidate, 2) for candidate in enumerate_candidates(spec)]
+    chunk = {"chunk": 0, "keys": [[s.denominator, list(s.numerators)] for s in sums]}
+    ck = tmp_path / "progress.jsonl"
+    ck.write_text(json.dumps({"header": header}) + "\n" + json.dumps(chunk) + "\n")
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="different search"):
+        find_collisions(spec, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+
+
+def test_checkpoint_keys_that_merge_different_sums_are_refused(tmp_path):
+    spec = SearchSpec(n=4, k=2, bound=5)
+    ck = tmp_path / "progress.jsonl"
+    find_collisions(spec, checkpoint=str(ck))
+    header, line = ck.read_text().splitlines()
+    chunk = json.loads(line)
+    chunk["keys"] = ["1"] * len(chunk["keys"])
+    ck.write_text(header + "\n" + json.dumps(chunk) + "\n")
+    with pytest.raises(ValueError, match="different 2-sums in one bucket"):
+        find_collisions(spec, checkpoint=str(ck))
+
+
+def _search_form(raw, symmetric):
+    """Numerators and denominator of a candidate as the search holds it:
+    {-v, v : v in raw} over 1, or raw centred to sum zero over len(raw)."""
+    if symmetric:
+        return tuple(sorted([-v for v in raw] + raw)), 1
+    n, total = len(raw), sum(raw)
+    return tuple(sorted(n * v - total for v in raw)), n
+
+
+def _centred(raw, symmetric):
+    values = [Fraction(v) for v in raw] + ([Fraction(-v) for v in raw] if symmetric else [])
+    mean = sum(values) / len(values)
+    return [v - mean for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_keys_are_equal_exactly_when_k_sums_are(data):
+    symmetric = data.draw(st.booleans())
+    size = data.draw(st.integers(1, 6))
+    n = 2 * size if symmetric else size
+    k = data.draw(st.integers(1, n))
+    values = st.lists(st.integers(0, 9), min_size=size, max_size=size)
+    first = data.draw(values | st.integers(0, 9).map(lambda v: [v] * size))
+    how = data.draw(st.sampled_from(["independent", "shifted", "reflected", "equal"]))
+    if how == "independent":
+        second = data.draw(values)
+    elif how == "shifted":
+        second = [v + data.draw(st.integers(-5, 5)) for v in first]
+    elif how == "reflected":
+        second = [max(first) - v for v in first]
+    else:
+        second = [first[0]] * size
+    (a, den), (b, _) = _search_form(first, symmetric), _search_form(second, symmetric)
+    keys = search._chunk_pairs((k, den, [a, b]))
+    assert keys == [search._chunk_pairs((k, den, [c]))[0] for c in (a, b)]  # chunk-independent
+    same = ksums(_centred(first, symmetric), k) == ksums(_centred(second, symmetric), k)
+    assert (keys[0] == keys[1]) == same
+    j = min(k, n - k)  # centred, so the k-sums are the negated (n - k)-sums
+    histogram = _sorted_sum_histogram(_centred(first, symmetric), j) if j else [1]
+    assert _decode_key(keys[0], _bin_width(n, j)) == histogram
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_key_bins_hold_every_subset(n):
+    # all elements equal: one bin counts every subset, the most any bin holds
+    for k in range(1, n + 1):
+        assert search._chunk_pairs((k, n, [(0,) * n]))[0] == comb(n, min(k, n - k))
+
+
+def test_known_pair_shares_a_packed_key():
+    pair = [tuple(map(int, member)) for member in (COLLISION_FIRST, COLLISION_SECOND)]
+    keys = search._chunk_pairs((4, 1, [*pair, (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)]))
+    assert keys[0] == keys[1] != keys[2]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
