@@ -24,6 +24,8 @@ from .elimination import (
     K_SUM,
     N_ELEMENTS,
     coefficient_report,
+    compare_coefficients,
+    fourteenth_quadratic,
     quadratic_at,
     residual_equation_indices,
     residual_relations,
@@ -106,8 +108,9 @@ def cmd_collide(args: argparse.Namespace) -> int:
     if sums_a == sums_b:
         print(f"EQUAL ({len(sums_a.numerators)} sums)")
         return OK
-    left, right = next((x, y) for x, y in zip(sums_a.sums, sums_b.sums) if x != y)
-    print(f"DIFFER: first differing sum {left} vs {right}")
+    den_a, den_b = sums_a.denominator, sums_b.denominator
+    x, y = next((x, y) for x, y in zip(sums_a.numerators, sums_b.numerators) if x * den_b != y * den_a)
+    print(f"DIFFER: first differing sum {Fraction(x, den_a)} vs {Fraction(y, den_b)}")
     return NEGATIVE
 
 
@@ -149,21 +152,15 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.p not in fixtures:
         print(f"error: no fixture for p={args.p}", file=sys.stderr)
         return USAGE_ERROR
-    expected = fixtures[args.p]
     # always report S_p itself: its vanishing (as in E_6) is the headline case
-    pivot = Monomial({svar(args.p): 1})
-    monomials = sorted({pivot} | set(poly.terms) | set(expected.terms), reverse=True)
-    all_ok = True
-    for mono in monomials:
-        got, want = poly.coefficient(mono), expected.coefficient(mono)
-        ok = got == want
-        all_ok &= ok
-        print(f"coef({mono}) = {got} [expected {want}] {'OK' if ok else 'MISMATCH'}")
+    lines, all_ok = compare_coefficients(poly, fixtures[args.p], always=[Monomial({svar(args.p): 1})])
+    for line in lines:
+        print(line)
     print(f"E{args.p}: {'all coefficients OK' if all_ok else 'coefficient MISMATCH'}")
     return OK if all_ok else NEGATIVE
 
 
-def _prepared_power_sums(raw_set: str, upto: int, quantity: str):
+def _prepared_power_sums(raw_set: str, quantity: str):
     sets = _resolve_set_args([raw_set])
     if len(sets) != 1:
         raise ValueError("expected exactly one set")
@@ -172,10 +169,9 @@ def _prepared_power_sums(raw_set: str, upto: int, quantity: str):
     total = sum(sets[0])
     if total:
         print(f"note: input shifted by {-total / N_ELEMENTS} so that S_1 = 0", file=sys.stderr)
-    s = centred_power_sums(sets[0], upto)
-    if s[2] == 0:
+    if len(set(sets[0])) == 1:  # all equal, so every centred element is 0
         raise ValueError(f"S_2 = 0, {quantity} undefined")
-    return s
+    return centred_power_sums(sets[0], N_ELEMENTS)
 
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
@@ -187,17 +183,16 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
         return OK if all_ok else NEGATIVE
 
     if args.example1:
-        evalues = e_power_sums(DOUBLE_ROOT_SET, 4, 14)
-        a, b, c = quadratic_at(evalues)
-        roots = solve_quadratic(a, b, c)
+        evalues = e_power_sums(DOUBLE_ROOT_SET, K_SUM, fourteenth_quadratic().index)
+        roots = solve_quadratic(*quadratic_at(evalues))
         print("roots: " + ", ".join(str(r) for r in roots))
         return OK
 
     try:
         if args.second_root is not None:
-            print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 8, 'second root'))}")
+            print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 'second root'))}")
             return OK
-        values = residual_relations(_prepared_power_sums(args.residuals, 12, "residuals"))
+        values = residual_relations(_prepared_power_sums(args.residuals, "residuals"))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -270,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "expand", help="expand the p-th power sum of all k-sums in S-variables"
     )
     p_expand.add_argument("p", type=int, help="power sum index")
-    p_expand.add_argument("-k", type=int, default=4, help="sum arity (default 4)")
-    p_expand.add_argument("-n", type=int, default=12, help="set size (default 12)")
+    p_expand.add_argument("-k", type=int, default=K_SUM, help=f"sum arity (default {K_SUM})")
+    p_expand.add_argument("-n", type=int, default=N_ELEMENTS, help=f"set size (default {N_ELEMENTS})")
     p_expand.add_argument(
         "--s1-zero", action="store_true", help="specialize S_1 = 0 before printing"
     )

@@ -1,14 +1,14 @@
 """Variable elimination for the (n, k) = (12, 4) reconstruction system.
 
-With S_1 = 0, the power-sum identities E_p = F_p(S_1..S_p) for p = 2..5
-invert uniquely to express S_2..S_5 in the E's, and the equations for
-p = 7..12 are linear in their pivot S_p, giving S_7..S_12 as polynomials
-in S_6 with E-coefficients.  S_6 itself is undetermined at this level:
-its coefficient in the sixth equation vanishes.  Substituting everything
-into the reduced fourteenth equation yields a quadratic in S_6 whose two
-roots are the sixth power sums of the (at most two) multisets realizing
-the given E-values; the residual relations then decide whether the second
-root extends to a full consistent solution.
+The layout is derived from the identities E_p = F_p(S_2..S_p), S_1 = 0.
+Equations 2..n are solved in turn for their pivot S_p, except the one with
+no S_p term (6), which leaves S_free unknown.  Substituting the solutions
+turns each reduced equation above n into a polynomial in S_free.  The
+first of degree two (14) is a quadratic whose roots are the S_free values
+of the (at most two) multisets realizing the E-values; the first of degree
+one (13) fixes S_7 when both roots are solutions.  The residual relations,
+the other equations up to pmax, decide whether the second root extends to
+a full consistent solution.
 
 All symbolic construction happens once and is cached; numeric queries
 evaluate the cached polynomials.
@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .algebra import Poly, Var, evar, svar
+from .algebra import Monomial, Poly, Var, evar, svar
 from .multisets import PowerSumVector
 from .symfunc import BadRangeError, e_expansion, newton_extend, reduce_high_powers
 
 N_ELEMENTS = 12
 K_SUM = 4
+PMAX = 26  # the last identity the residual relations check by default
 
 
 class NonLinearPivotError(RuntimeError):
@@ -42,7 +43,7 @@ def identity_poly(p: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def reduced_identity_poly(p: int) -> Poly:
-    """identity_poly with every S_m, m > 12, reduced to S_2..S_12.
+    """identity_poly with every S_m, m > n, reduced to S_2..S_n.
 
     The reduction of a high power sum is generic in S_1, so the S_1 = 0
     specialization must be reapplied afterwards.
@@ -53,75 +54,76 @@ def reduced_identity_poly(p: int) -> Poly:
 
 @dataclass(frozen=True)
 class EliminationTables:
-    """Solved expressions: low[p] gives S_p in E-variables for p = 2..5;
-    high[p] gives S_p in S_6 and E-variables for p = 7..12."""
+    """Solved expressions: low[p] gives S_p in E-variables for p < free;
+    high[p] gives S_p in S_free and E-variables for free < p <= n."""
 
     low: dict[int, Poly]
     high: dict[int, Poly]
+    free: int
 
 
 def _solve_linear(poly: Poly, var: Var, label: str) -> Poly:
-    """Solve poly = 0 for ``var``, in which it must be linear with a constant coefficient."""
+    """Solve poly = 0 for ``var``, which it must contain linearly with a constant coefficient."""
     parts = poly.collect(var)
     coeff = parts.pop(1, Poly.zero())
-    if parts.keys() - {0} or coeff.degree() > 0:
+    if parts.keys() - {0} or coeff.degree() != 0:
         raise NonLinearPivotError(f"{label} is not linear in {var}")
-    if coeff.is_zero():
-        raise NonLinearPivotError(f"{label} has no {var} term")
     return -parts.get(0, Poly.zero()) / coeff.constant_term()
-
-
-def _solve_pivot(p: int, bindings: dict[Var, Poly]) -> Poly:
-    """Solve equation p for S_p, substituting previously solved variables."""
-    equation = identity_poly(p) - Poly.variable(evar(p))
-    return _solve_linear(equation, svar(p), f"equation {p}").substitute(bindings)
 
 
 @lru_cache(maxsize=None)
 def build_elimination_tables() -> EliminationTables:
-    bindings: dict[Var, Poly] = {}
+    free: int | None = None
     low: dict[int, Poly] = {}
-    for p in range(2, 6):
-        expr = _solve_pivot(p, bindings)
-        if any(v.family == "S" for v in expr.variables()):
-            raise NonLinearPivotError(f"low entry {p} still contains S-variables")
-        low[p] = expr
-        bindings[svar(p)] = expr
     high: dict[int, Poly] = {}
-    for p in range(7, 13):
-        expr = _solve_pivot(p, bindings)
-        extra = {v for v in expr.variables() if v.family == "S" and v.index != 6}
+    bindings: dict[Var, Poly] = {}
+    for p in range(2, N_ELEMENTS + 1):
+        equation = identity_poly(p) - Poly.variable(evar(p))
+        if svar(p) not in equation.variables():
+            if free is not None:
+                raise NonLinearPivotError(f"equations {free} and {p} both have no term in their pivot")
+            free = p
+            continue
+        expr = _solve_linear(equation, svar(p), f"equation {p}").substitute(bindings)
+        extra = {v for v in expr.variables() if v.family == "S" and v.index != free}
         if extra:
-            raise NonLinearPivotError(f"high entry {p} depends on {sorted(map(str, extra))}")
-        high[p] = expr
-        bindings[svar(p)] = expr
-    return EliminationTables(low=low, high=high)
+            raise NonLinearPivotError(f"entry {p} depends on {sorted(map(str, extra))}")
+        (low if free is None else high)[p] = bindings[svar(p)] = expr
+    return EliminationTables(low=low, high=high, free=free)
+
+
+@lru_cache(maxsize=None)
+def _powers_of_free(p: int) -> dict[int, Poly]:
+    """Reduced equation p with the tables substituted, split by powers of S_free."""
+    tables = build_elimination_tables()
+    bindings = {svar(q): expr for q, expr in (*tables.low.items(), *tables.high.items())}
+    return reduced_identity_poly(p).substitute(bindings).collect(svar(tables.free))
+
+
+def _first_of_degree(degree: int) -> tuple[int, dict[int, Poly]]:
+    """The first reduced equation above n of this degree in S_free: its index and split."""
+    for p in range(N_ELEMENTS + 1, PMAX + 1):
+        parts = _powers_of_free(p)
+        if max(parts, default=0) == degree:
+            return p, parts
+    raise NonLinearPivotError(f"no reduced equation up to {PMAX} has degree {degree} in S_free")
 
 
 @dataclass(frozen=True)
 class QuadraticInS6:
-    """The fourteenth equation as c2*S_6^2 + c1*S_6 + c0 = E_14, with the
-    coefficients polynomials in E-variables."""
+    """Reduced equation ``index`` as c2*S_free^2 + c1*S_free + c0 = E_index over the E-variables."""
 
     c2: Poly
     c1: Poly
     c0: Poly
-
-
-def _powers_of_s6(p: int) -> dict[int, Poly]:
-    """Reduced equation p with the tables substituted, split by powers of S_6."""
-    tables = build_elimination_tables()
-    bindings = {svar(q): expr for q, expr in (*tables.low.items(), *tables.high.items())}
-    return reduced_identity_poly(p).substitute(bindings).collect(svar(6))
+    index: int
 
 
 @lru_cache(maxsize=None)
 def fourteenth_quadratic() -> QuadraticInS6:
-    parts = _powers_of_s6(14)
-    if max(parts, default=0) > 2:
-        raise NonLinearPivotError("fourteenth equation has degree > 2 in S6")
+    index, parts = _first_of_degree(2)
     zero = Poly.zero()
-    return QuadraticInS6(c2=parts.get(2, zero), c1=parts.get(1, zero), c0=parts.get(0, zero))
+    return QuadraticInS6(c2=parts.get(2, zero), c1=parts.get(1, zero), c0=parts.get(0, zero), index=index)
 
 
 # Reference coefficients the generated quadratic must reproduce exactly.
@@ -135,35 +137,38 @@ REFERENCE_C1 = Poly.parse(
 )
 
 
+def compare_coefficients(
+    got: Poly, expected: Poly, label: str = "", always: Iterable[Monomial] = ()
+) -> tuple[list[str], bool]:
+    """Lines ``coef(<label><monomial>) = got [expected want] OK|MISMATCH`` for the
+    monomials of both polynomials and ``always``, highest first, and an all-ok flag."""
+    pairs = [(mono, got.coefficient(mono), expected.coefficient(mono))
+             for mono in sorted({*always, *got.terms, *expected.terms}, reverse=True)]
+    lines = [f"coef({label}{m}) = {g} [expected {e}] {'OK' if g == e else 'MISMATCH'}" for m, g, e in pairs]
+    return lines, all(g == e for _, g, e in pairs)
+
+
 def coefficient_report() -> tuple[list[str], bool]:
     """Per-coefficient comparison of the generated quadratic against the
     reference values; returns the report lines and an all-ok flag."""
     quad = fourteenth_quadratic()
-    lines: list[str] = []
-    all_ok = True
-    for label, got, expected in (("S6^2", quad.c2, REFERENCE_C2), ("S6", quad.c1, REFERENCE_C1)):
-        monomials = sorted(set(got.terms) | set(expected.terms), reverse=True)
-        for mono in monomials:
-            g, e = got.coefficient(mono), expected.coefficient(mono)
-            ok = g == e
-            all_ok &= ok
-            lines.append(
-                f"coef({label}: {mono}) = {g} [expected {e}] {'OK' if ok else 'MISMATCH'}"
-            )
-    return lines, all_ok
+    free = svar(build_elimination_tables().free)
+    c2_lines, c2_ok = compare_coefficients(quad.c2, REFERENCE_C2, f"{free}^2: ")
+    c1_lines, c1_ok = compare_coefficients(quad.c1, REFERENCE_C1, f"{free}: ")
+    return c2_lines + c1_lines, c2_ok and c1_ok
 
 
 def quadratic_at(evalues: PowerSumVector) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) of a*x^2 + b*x + c = 0 for S_6 at the E-values
-    E_1..E_14 held in a PowerSumVector; the constant term folds in -E_14."""
-    if evalues.upto < 14:
-        raise BadRangeError("E14 value required to form the quadratic")
-    values = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
+    """Coefficients (a, b, c) of a*x^2 + b*x + c = 0 for S_free at E-values
+    E_1..E_index in a PowerSumVector; the constant term folds in -E_index."""
     quad = fourteenth_quadratic()
+    if evalues.upto < quad.index:
+        raise BadRangeError(f"E{quad.index} value required to form the quadratic")
+    values = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
     return (
         quad.c2.evaluate(values),
         quad.c1.evaluate(values),
-        quad.c0.evaluate(values) - evalues[14],
+        quad.c0.evaluate(values) - evalues[quad.index],
     )
 
 
@@ -190,79 +195,78 @@ def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ..
     return tuple(sorted(((-b - root) / (2 * a), (-b + root) / (2 * a))))
 
 
-def _vieta_partner(evalues: Mapping[Var, Fraction], s6: Fraction) -> Fraction:
-    """The other root -c1/c2 - S_6 of the S_6 quadratic at these E-values."""
+def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fraction:
+    """The other root -c1/c2 - S_free of the quadratic at these E-values."""
     quad = fourteenth_quadratic()
-    return -quad.c1.evaluate(evalues) / quad.c2.evaluate(evalues) - s6
+    c2 = quad.c2.evaluate(evalues)
+    if c2 == 0:
+        raise ZeroDivisionError("second root undefined when S_2 = 0")
+    return -quad.c1.evaluate(evalues) / c2 - s_free
 
 
 def second_root(s: PowerSumVector) -> Fraction:
-    """The other root of the S_6 quadratic, from the power sums of one
-    realizing multiset (S_1 = 0, S_2 nonzero): by Vieta, at the E-values
-    the identities give for S_2..S_8."""
-    _require_zero_s1(s, upto=8)
-    if s[2] == 0:
-        raise ZeroDivisionError("second root undefined when S_2 = 0")
-    values = {svar(p): s[p] for p in range(2, 9)}
-    evalues = {evar(i): identity_poly(i).evaluate(values) for i in range(2, 9)}
-    return _vieta_partner(evalues, s[6])
+    """The other root of the quadratic in S_free, from the power sums of one
+    realizing multiset (S_1 = 0, S_2 nonzero): by Vieta, at the values the
+    identities give for the E-variables of c1 and c2 (E2..E5 and E8)."""
+    quad = fourteenth_quadratic()
+    free = build_elimination_tables().free
+    evars = quad.c1.variables() | quad.c2.variables()
+    _require_zero_s1(s, upto=max(free, *(v.index for v in evars)))
+    values = {svar(p): v for p, v in enumerate(s.values, 1)}
+    evalues = {v: identity_poly(v.index).evaluate(values) for v in evars}
+    return _vieta_partner(evalues, s[free])
 
 
 @lru_cache(maxsize=None)
 def _s7_condition() -> Poly:
-    s6_coeff = _powers_of_s6(13).get(1, Poly.zero())
-    in_s = s6_coeff.substitute({v: identity_poly(v.index) for v in s6_coeff.variables()})
-    return _solve_linear(in_s, svar(7), "the S6 coefficient of equation 13")
+    index, parts = _first_of_degree(1)
+    in_s = parts[1].substitute({v: identity_poly(v.index) for v in parts[1].variables()})
+    return _solve_linear(in_s, max(in_s.variables()), f"the S_free coefficient of equation {index}")
 
 
 def s7_linear_condition(s: PowerSumVector) -> Fraction:
-    """Predicted S_7 when the thirteenth equation's S_6 coefficient vanishes,
-    the degenerate situation that every two-root solution must satisfy;
-    that coefficient, written in S_2..S_7, is solved for S_7 once."""
-    _require_zero_s1(s, upto=5)
-    return _s7_condition().evaluate({svar(p): s[p] for p in range(2, 6)})
+    """Predicted S_7 when the S_free coefficient of the first reduced equation
+    linear in S_free (13) vanishes, as it must for two roots; that coefficient,
+    written in S_2..S_7, is solved once for its highest power sum."""
+    condition = _s7_condition()
+    _require_zero_s1(s, upto=max(v.index for v in condition.variables()))
+    return condition.evaluate({v: s[v.index] for v in condition.variables()})
 
 
-def residual_equation_indices(pmax: int = 26) -> tuple[int, ...]:
-    """Indices of the equations not consumed by the elimination itself:
-    13, then 15..pmax (6 and 14 hold by construction)."""
-    return (13,) + tuple(range(15, pmax + 1))
+def residual_equation_indices(pmax: int = PMAX) -> tuple[int, ...]:
+    """Indices of the equations from n + 1 to pmax not consumed by the
+    elimination itself: all but the quadratic's (13, then 15..pmax)."""
+    quadratic = fourteenth_quadratic().index
+    return tuple(p for p in range(N_ELEMENTS + 1, pmax + 1) if p != quadratic)
 
 
-def residual_relations(s: PowerSumVector, pmax: int = 26) -> list[Fraction]:
+def residual_relations(s: PowerSumVector, pmax: int = PMAX) -> list[Fraction]:
     """Exact residuals of the compatibility equations at the second root.
 
-    From the candidate's power sums S_1 = 0, S_2..S_12, the E-values are
+    From the candidate's power sums S_1 = 0, S_2..S_n, the E-values are
     fixed by the identities; the second root and the elimination tables
-    then reconstruct the would-be partner's power sums, and each equation
-    with index 13 or 15..pmax is evaluated against both.  All residuals are
+    then reconstruct the would-be partner's power sums, and each equation of
+    ``residual_equation_indices(pmax)`` is evaluated against both.  All are
     zero exactly when a consistent second solution exists at this level.
     """
-    if pmax < 15:
-        raise BadRangeError(f"pmax must be at least 15, got {pmax}")
-    _require_zero_s1(s, upto=12)
+    index = fourteenth_quadratic().index
+    if pmax <= index:
+        raise BadRangeError(f"pmax must be at least {index + 1}, got {pmax}")
+    _require_zero_s1(s, upto=N_ELEMENTS)
 
-    extended = newton_extend([s[p] for p in range(1, 13)], N_ELEMENTS, pmax)
+    extended = newton_extend(s.values[:N_ELEMENTS], N_ELEMENTS, pmax)
     first_values = {svar(p): extended[p - 1] for p in range(1, pmax + 1)}
     evalues = {evar(i): identity_poly(i).evaluate(first_values) for i in range(1, pmax + 1)}
 
     tables = build_elimination_tables()
-    s6_second = _vieta_partner(evalues, s[6])
-    dual12: list[Fraction] = [Fraction(0)]  # S_1
-    for p in range(2, 13):
-        if p == 6:
-            dual12.append(s6_second)
-        elif p <= 5:
-            dual12.append(tables.low[p].evaluate(evalues))
-        else:
-            dual12.append(tables.high[p].evaluate({**evalues, svar(6): s6_second}))
-    dual_extended = newton_extend(dual12, N_ELEMENTS, pmax)
+    free = svar(tables.free)
+    at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
+    dual = {1: Poly.zero(), **tables.low, tables.free: Poly.variable(free), **tables.high}
+    dual_extended = newton_extend([expr.evaluate(at_second) for expr in dual.values()], N_ELEMENTS, pmax)
     dual_values = {svar(p): dual_extended[p - 1] for p in range(1, pmax + 1)}
 
-    residuals: list[Fraction] = []
-    for index in residual_equation_indices(pmax):
-        residuals.append(evalues[evar(index)] - identity_poly(index).evaluate(dual_values))
-    return residuals
+    indices = residual_equation_indices(pmax)
+    return [evalues[evar(p)] - identity_poly(p).evaluate(dual_values) for p in indices]
 
 
 def _require_zero_s1(s: PowerSumVector, upto: int) -> None:

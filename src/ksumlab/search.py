@@ -4,17 +4,18 @@ Candidates are enumerated deterministically as integer numerators over
 one shared denominator and bucketed by one exact int each, their k-sum
 histogram packed by Kronecker substitution (see ``_chunk_pairs``); every
 pair sharing a bucket becomes a collision record.  Only the members of a
-shared bucket get their sorted k-sums, which order the records and check
-the bucket, and only they are turned into Fractions.
+shared bucket are keyed again, to check the bucket, and turned into
+Fractions; one sorted k-sum multiset per bucket orders its records.
 Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
 the nondecreasing tuples from {0..B}, the one starting at 0, centred to
 sum zero, and is exponential in n.  Spaces of more than ``MAX_CANDIDATES``
-candidates, more than ``MAX_SUMS`` k-sums per candidate or more than
-``MAX_KEY_BITS`` of keys are refused up front; more than ``MAX_PAIRS``
-pairs of candidates with equal k-sums are refused once the buckets are
-formed, before any record is built.
+candidates, more than ``MAX_NUMERATORS`` numerators in all, more than
+``MAX_SUMS`` k-sums per candidate or more than ``MAX_KEY_BITS`` of keys
+are refused up front; more than ``MAX_PAIRS`` pairs of candidates with
+equal k-sums are refused once the buckets are formed, before any record
+is built.
 
 Chunked work partitioning keeps parallel runs reproducible: workers map
 chunks to keys and the merge is ordered, so the record list never depends
@@ -34,7 +35,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator, Sequence
 
-from .elimination import residual_relations
+from .elimination import K_SUM, N_ELEMENTS, residual_relations
 from .multisets import (
     NumberMultiset,
     SumMultiset,
@@ -50,6 +51,11 @@ CHUNK_SIZE = 256
 # has 230230 candidates and 333603270 key bits at most; it takes about 4 s
 # and peaks near 150 MB, as does general (3, 1, B=700) with 246051.
 MAX_CANDIDATES = 250_000
+# The candidates hold n numerators each, about 27 bytes apiece: general
+# (200, 1, 2) stores 4020000 and peaks near 115 MB, (250, 1, 2) 7843750
+# and 220 MB.  The bound keeps peaks near the 150 MB above and refuses no
+# space of n < 26 that MAX_CANDIDATES admits; symmetric (12, 4, 20) stores 2762760.
+MAX_NUMERATORS = 5_000_000
 MAX_KEY_BITS = 400_000_000
 # Every pair in a bucket becomes a record, about 19 us and 0.4 KB each;
 # at k = n all candidates share one bucket.
@@ -250,6 +256,12 @@ def find_collisions(
             f"the search space has {count} candidates, more than the {MAX_CANDIDATES} allowed;"
             " lower the bound or n"
         )
+    numerators = count * spec.n
+    if numerators > MAX_NUMERATORS:
+        raise ValueError(
+            f"the candidates of the search space hold {numerators} numerators, more than the"
+            f" {MAX_NUMERATORS} allowed; lower the bound or n"
+        )
     check_sum_count(spec.n, spec.k)
     key_bits = count * _key_bits(spec)
     if key_bits > MAX_KEY_BITS:
@@ -296,10 +308,10 @@ def find_collisions(
     # denominator divides den, and all candidates share den.
     pairs = []
     for members in shared:
-        sums = ksums(members[0], spec.k, den)
-        if any(ksums(other, spec.k, den) != sums for other in members[1:]):
+        if len(set(_chunk_pairs((spec.k, den, members)))) > 1:
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
+        sums = ksums(members[0], spec.k, den)
         order = tuple(v * (den // sums.denominator) for v in sums.numerators)
         members = sorted(members)
         views = [_as_fractions(nums, den) for nums in members]  # one per member, not per pair
@@ -334,9 +346,8 @@ def verify_record(record: CollisionRecord) -> bool:
     sums = ksums(record.first, record.k)
     if sums != ksums(record.second, record.k) or sums != record.canonical_sums:
         return False
-    if len(record.first) == 12 and record.k == 4:
-        for member in (record.first, record.second):
-            s = centred_power_sums(member, 12)
-            if s[2] != 0 and any(residual_relations(s)):
+    if (len(record.first), record.k) == (N_ELEMENTS, K_SUM):
+        for member in (record.first, record.second):  # S_2 = 0 when every element is equal
+            if len(set(member)) > 1 and any(residual_relations(centred_power_sums(member, N_ELEMENTS))):
                 return False
     return True

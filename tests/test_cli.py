@@ -93,6 +93,19 @@ def test_collide_detects_difference(capsys):
     assert out.startswith("DIFFER: first differing sum")
 
 
+@pytest.mark.parametrize(
+    "first, second, k, want",
+    [
+        ("1/2 1", "1/3 1", "1", "1/2 vs 1/3"),
+        ("1/3 2/3", "1/3 5/6", "1", "2/3 vs 5/6"),  # equal first sums over denominators 3 and 6
+        ("1/2 1/3 5", "1/6 1/4 5", "2", "5/6 vs 5/12"),
+    ],
+)
+def test_collide_reports_the_first_difference_over_unequal_denominators(capsys, first, second, k, want):
+    code, out, err = run(capsys, "collide", first, second, "-k", k)
+    assert (code, out, err) == (1, f"DIFFER: first differing sum {want}\n", "")
+
+
 def test_collide_size_mismatch(capsys):
     code, _, err = run(capsys, "collide", "1 2", "1 2 3", "-k", "2")
     assert code == 2
@@ -400,6 +413,15 @@ def test_oversized_k_sums_fail_fast(argv):
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error:") and "137846528820" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("n, bound", [("50000", "1"), ("706", "2")])
+def test_search_over_too_many_numerators_is_a_usage_error(capsys, n, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "-n", n, "-k", "1", "-B", bound)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than the {search.MAX_NUMERATORS} allowed" in err
 
 
 def test_largest_admitted_k_sums_succeed():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from ksumlab.cli import main
 from ksumlab.multisets import MAX_SUMS
-from ksumlab.search import MAX_CANDIDATES, MAX_KEY_BITS, SearchSpec, _candidate_count, _key_bits
+from ksumlab.search import (
+    MAX_CANDIDATES,
+    MAX_KEY_BITS,
+    MAX_NUMERATORS,
+    SearchSpec,
+    _candidate_count,
+    _key_bits,
+)
 
 # Admitted k-sum requests above this many sums are skipped, not because they
 # fail but because they are slow: `collide` on two differing 22-element sets
@@ -93,7 +100,12 @@ def search_argv(draw):
         # which grow with candidates x C(n, k), so only spaces that a guard
         # refuses, or small ones, are run.
         count, sums = _candidate_count(spec), comb(n, k)
-        refused = count > MAX_CANDIDATES or sums > MAX_SUMS or count * _key_bits(spec) > MAX_KEY_BITS
+        refused = (
+            count > MAX_CANDIDATES
+            or count * n > MAX_NUMERATORS
+            or sums > MAX_SUMS
+            or count * _key_bits(spec) > MAX_KEY_BITS
+        )
         assume(refused or count * sums <= FAST_SUMS)
     argv = ["search", "-n", str(n), "-k", str(k), "-B", str(bound), "--workers", "1"]
     argv += ["--symmetric"] if symmetric else []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from identity_tables import LOW_TABLE, S7_CONDITION_TABLE, SECOND_ROOT_TABLE
+from ksumlab import elimination
 from ksumlab.algebra import Monomial, Poly, evar, svar
 from ksumlab.elimination import (
     REFERENCE_C1,
@@ -43,6 +44,30 @@ def random_centered_sets(seed, count, size=12):
         mean = sum(values) / size
         out.append(as_multiset(v - mean for v in values))
     return out
+
+
+def test_layout_is_derived_from_the_identities():
+    tables = build_elimination_tables()
+    assert tables.free == 6
+    assert list(tables.low) == [2, 3, 4, 5]
+    assert list(tables.high) == [7, 8, 9, 10, 11, 12]
+    assert fourteenth_quadratic().index == 14
+    assert residual_equation_indices() == (13,) + tuple(range(15, 27))
+
+
+def test_a_second_equation_without_its_pivot_is_refused(monkeypatch):
+    real = elimination.identity_poly
+
+    def without_s9(p):
+        return real(p).substitute({svar(9): Poly.zero()}) if p == 9 else real(p)
+
+    monkeypatch.setattr(elimination, "identity_poly", without_s9)
+    build_elimination_tables.cache_clear()
+    try:
+        with pytest.raises(NonLinearPivotError, match="equations 6 and 9"):
+            build_elimination_tables()
+    finally:
+        build_elimination_tables.cache_clear()
 
 
 def test_low_table_closed_forms():
@@ -190,6 +215,11 @@ def test_s7_condition_coefficients():
     assert s7_linear_condition(vec([0, 1, 1, 0, 0])) == c["S3*S2^2"]
     assert s7_linear_condition(vec([0, 1, 0, 0, 1])) == c["S2*S5"]
     assert s7_linear_condition(vec([0, 0, 1, 1, 0])) == c["S3*S4"]
+
+
+def test_s7_condition_needs_s2_to_s5():
+    with pytest.raises(BadRangeError, match="S_5"):
+        s7_linear_condition(PowerSumVector((Fraction(0), Fraction(1), Fraction(1), Fraction(0))))
 
 
 def test_s7_condition_on_known_sets():

@@ -435,3 +435,15 @@ def test_oversized_search_fails_fast(tmp_path):
     assert not ck.exists()  # refused before the checkpoint is opened
     largest = SearchSpec(n=12, k=4, bound=12, symmetric_only=True)
     assert search._candidate_count(largest) == 18564 <= search.MAX_CANDIDATES
+
+
+def test_spaces_of_too_many_numerators_fail_fast():
+    # admitted by every other guard, but their candidates would need several GB
+    start = time.perf_counter()
+    for spec in (SearchSpec(n=50000, k=1, bound=1), SearchSpec(n=706, k=1, bound=2)):
+        assert search._candidate_count(spec) <= search.MAX_CANDIDATES
+        with pytest.raises(ValueError, match="numerators"):
+            find_collisions(spec)
+    assert time.perf_counter() - start < 1
+    for spec in (SearchSpec(12, 4, 20, symmetric_only=True), SearchSpec(12, 4, 9), SearchSpec(3, 1, 700)):
+        assert search._candidate_count(spec) * spec.n <= search.MAX_NUMERATORS
