@@ -11,11 +11,9 @@ ambiguous pairs, and a bounded exhaustive collision search.
 from .algebra import (
     Monomial,
     Poly,
-    Rational,
     UnboundVariableError,
     Var,
     evar,
-    parse_rational,
     svar,
 )
 from .elimination import (
@@ -40,12 +38,10 @@ from .multisets import (
     SumMultiset,
     affine_image,
     as_multiset,
-    canonical_orbit,
     centred_power_sums,
     collision_class_key,
     format_multiset,
     ksums,
-    multiset_equal,
     parse_multiset,
     power_sum,
     power_sum_vector,
@@ -54,7 +50,6 @@ from .search import (
     CollisionRecord,
     SearchSpec,
     dedupe_records,
-    enumerate_candidates,
     find_collisions,
     verify_record,
 )
@@ -69,7 +64,6 @@ from .symfunc import (
     macmahon_reduce,
     monomial_power_sum_direct,
     newton_extend,
-    partitions_max_parts,
     reduce_high_powers,
     reduce_monomial,
 )
@@ -91,7 +85,6 @@ __all__ = [
     "Poly",
     "PowerSumVector",
     "QuadraticInS6",
-    "Rational",
     "SearchSpec",
     "SumMultiset",
     "TooManyPartsError",
@@ -100,7 +93,6 @@ __all__ = [
     "affine_image",
     "as_multiset",
     "build_elimination_tables",
-    "canonical_orbit",
     "centred_power_sums",
     "coefficient_report",
     "collision_class_key",
@@ -109,7 +101,6 @@ __all__ = [
     "e_expansion",
     "e_power_sums",
     "elementary_in_power_sums",
-    "enumerate_candidates",
     "evar",
     "find_collisions",
     "format_multiset",
@@ -118,11 +109,8 @@ __all__ = [
     "load_identity_fixtures",
     "macmahon_reduce",
     "monomial_power_sum_direct",
-    "multiset_equal",
     "newton_extend",
     "parse_multiset",
-    "parse_rational",
-    "partitions_max_parts",
     "power_sum",
     "power_sum_vector",
     "quadratic_at",

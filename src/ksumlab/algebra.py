@@ -30,7 +30,6 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 S_FAMILY = "S"
@@ -565,10 +564,3 @@ def _parse_poly(text: str) -> Poly:
         terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
     return Poly(terms)
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer or a ``p/q`` literal into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc

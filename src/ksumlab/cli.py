@@ -69,15 +69,10 @@ def _resolve_set_args(raw: list[str]) -> list[NumberMultiset]:
 
 
 def cmd_ksums(args: argparse.Namespace) -> int:
-    try:
-        sets = _resolve_set_args([args.set])
-        if len(sets) != 1:
-            print("error: ksums expects exactly one set", file=sys.stderr)
-            return USAGE_ERROR
-        sums = ksums(sets[0], args.k)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    sets = _resolve_set_args([args.set])
+    if len(sets) != 1:
+        raise ValueError("ksums expects exactly one set")
+    sums = ksums(sets[0], args.k)
     runs = sums.runs()
     if args.json:
         values: list = []
@@ -90,21 +85,15 @@ def cmd_ksums(args: argparse.Namespace) -> int:
 
 
 def cmd_collide(args: argparse.Namespace) -> int:
-    try:
-        raw = [args.first] if args.second is None else [args.first, args.second]
-        sets = _resolve_set_args(raw)
-        if len(sets) != 2:
-            print("error: collide expects exactly two sets", file=sys.stderr)
-            return USAGE_ERROR
-        first, second = sets
-        if len(first) != len(second):
-            print("error: sets have different sizes", file=sys.stderr)
-            return USAGE_ERROR
-        sums_a = ksums(first, args.k)
-        sums_b = ksums(second, args.k)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    raw = [args.first] if args.second is None else [args.first, args.second]
+    sets = _resolve_set_args(raw)
+    if len(sets) != 2:
+        raise ValueError("collide expects exactly two sets")
+    first, second = sets
+    if len(first) != len(second):
+        raise ValueError("sets have different sizes")
+    sums_a = ksums(first, args.k)
+    sums_b = ksums(second, args.k)
     if sums_a == sums_b:
         print(f"EQUAL ({len(sums_a.numerators)} sums)")
         return OK
@@ -127,31 +116,21 @@ def _fixture_polys() -> dict[int, Poly]:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     if args.check_fixtures and (args.n, args.k) != (N_ELEMENTS, K_SUM):
-        print(
-            f"error: the reference table is for n = {N_ELEMENTS}, k = {K_SUM},"
-            f" not n = {args.n}, k = {args.k}",
-            file=sys.stderr,
+        raise ValueError(
+            f"the reference table is for n = {N_ELEMENTS}, k = {K_SUM}, not n = {args.n}, k = {args.k}"
         )
-        return USAGE_ERROR
-    try:
-        if args.p < 1:
-            raise BadRangeError(f"p must be positive, got {args.p}")
-        s1zero = args.s1_zero or args.check_fixtures
-        poly = e_expansion(args.p, args.k, args.n, s1zero)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.p < 1:
+        raise BadRangeError(f"p must be positive, got {args.p}")
+    poly = e_expansion(args.p, args.k, args.n, args.s1_zero or args.check_fixtures)
     if not args.check_fixtures:
         print(f"E{args.p} = {poly.render()}")
         return OK
     try:
         fixtures = _fixture_polys()
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load fixtures: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"cannot load fixtures: {exc}") from exc
     if args.p not in fixtures:
-        print(f"error: no fixture for p={args.p}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"no fixture for p={args.p}")
     # always report S_p itself: its vanishing (as in E_6) is the headline case
     lines, all_ok = compare_coefficients(poly, fixtures[args.p], always=[Monomial({svar(args.p): 1})])
     for line in lines:
@@ -188,14 +167,10 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
         print("roots: " + ", ".join(str(r) for r in roots))
         return OK
 
-    try:
-        if args.second_root is not None:
-            print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 'second root'))}")
-            return OK
-        values = residual_relations(_prepared_power_sums(args.residuals, "residuals"))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.second_root is not None:
+        print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 'second root'))}")
+        return OK
+    values = residual_relations(_prepared_power_sums(args.residuals, "residuals"))
     all_zero = True
     for index, value in zip(residual_equation_indices(), values):
         all_zero &= value == 0
@@ -209,13 +184,10 @@ def _json_number(value: Fraction):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    sink = sys.stdout
+    spec = SearchSpec(n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric)
+    # opened now so a bad path fails at once, emptied only on success
+    sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     try:
-        spec = SearchSpec(
-            n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric
-        )
-        if args.out:  # opened now so a bad path fails at once, emptied only on success
-            sink = open(args.out, "a", encoding="utf-8")
         records = find_collisions(spec, workers=args.workers, checkpoint=args.resume)
         if sink is not sys.stdout and sink.seekable():  # a pipe cannot be truncated
             sink.truncate(0)
@@ -228,9 +200,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 }
             )
             print(line, file=sink)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -313,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # the one usage-error boundary
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

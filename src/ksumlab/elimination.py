@@ -7,8 +7,8 @@ turns each reduced equation above n into a polynomial in S_free.  The
 first of degree two (14) is a quadratic whose roots are the S_free values
 of the (at most two) multisets realizing the E-values; the first of degree
 one (13) fixes S_7 when both roots are solutions.  The residual relations,
-the other equations up to pmax, decide whether the second root extends to
-a full consistent solution.
+the other equations up to PMAX (26), decide whether the second root extends
+to a full consistent solution.
 
 All symbolic construction happens once and is cached; numeric queries
 evaluate the cached polynomials.
@@ -28,7 +28,7 @@ from .symfunc import BadRangeError, e_expansion, newton_extend, reduce_high_powe
 
 N_ELEMENTS = 12
 K_SUM = 4
-PMAX = 26  # the last identity the residual relations check by default
+PMAX = 26  # the last identity the residual relations check
 
 
 class NonLinearPivotError(RuntimeError):
@@ -233,40 +233,35 @@ def s7_linear_condition(s: PowerSumVector) -> Fraction:
     return condition.evaluate({v: s[v.index] for v in condition.variables()})
 
 
-def residual_equation_indices(pmax: int = PMAX) -> tuple[int, ...]:
-    """Indices of the equations from n + 1 to pmax not consumed by the
-    elimination itself: all but the quadratic's (13, then 15..pmax)."""
+def residual_equation_indices() -> tuple[int, ...]:
+    """Indices of the equations from n + 1 to PMAX not consumed by the
+    elimination itself: all but the quadratic's (13, then 15..26)."""
     quadratic = fourteenth_quadratic().index
-    return tuple(p for p in range(N_ELEMENTS + 1, pmax + 1) if p != quadratic)
+    return tuple(p for p in range(N_ELEMENTS + 1, PMAX + 1) if p != quadratic)
 
 
-def residual_relations(s: PowerSumVector, pmax: int = PMAX) -> list[Fraction]:
+def residual_relations(s: PowerSumVector) -> list[Fraction]:
     """Exact residuals of the compatibility equations at the second root.
 
     From the candidate's power sums S_1 = 0, S_2..S_n, the E-values are
     fixed by the identities; the second root and the elimination tables
     then reconstruct the would-be partner's power sums, and each equation of
-    ``residual_equation_indices(pmax)`` is evaluated against both.  All are
+    ``residual_equation_indices()`` is evaluated against both.  All are
     zero exactly when a consistent second solution exists at this level.
     """
-    index = fourteenth_quadratic().index
-    if pmax <= index:
-        raise BadRangeError(f"pmax must be at least {index + 1}, got {pmax}")
     _require_zero_s1(s, upto=N_ELEMENTS)
 
-    extended = newton_extend(s.values[:N_ELEMENTS], N_ELEMENTS, pmax)
-    first_values = {svar(p): extended[p - 1] for p in range(1, pmax + 1)}
-    evalues = {evar(i): identity_poly(i).evaluate(first_values) for i in range(1, pmax + 1)}
+    extended = newton_extend(s.values[:N_ELEMENTS], N_ELEMENTS, PMAX)
+    first_values = {svar(p): extended[p - 1] for p in range(1, PMAX + 1)}
+    evalues = {evar(i): identity_poly(i).evaluate(first_values) for i in range(1, PMAX + 1)}
 
     tables = build_elimination_tables()
     free = svar(tables.free)
     at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
     dual = {1: Poly.zero(), **tables.low, tables.free: Poly.variable(free), **tables.high}
-    dual_extended = newton_extend([expr.evaluate(at_second) for expr in dual.values()], N_ELEMENTS, pmax)
-    dual_values = {svar(p): dual_extended[p - 1] for p in range(1, pmax + 1)}
-
-    indices = residual_equation_indices(pmax)
-    return [evalues[evar(p)] - identity_poly(p).evaluate(dual_values) for p in indices]
+    dual_extended = newton_extend([expr.evaluate(at_second) for expr in dual.values()], N_ELEMENTS, PMAX)
+    dual_values = {svar(p): dual_extended[p - 1] for p in range(1, PMAX + 1)}
+    return [evalues[evar(p)] - identity_poly(p).evaluate(dual_values) for p in residual_equation_indices()]
 
 
 def _require_zero_s1(s: PowerSumVector, upto: int) -> None:

@@ -63,11 +63,9 @@ def parse_multiset(text: str) -> NumberMultiset:
     return as_multiset(values)
 
 
-def format_multiset(values: Iterable[RationalLike], run_length: bool = True) -> str:
-    """Render a multiset; with run_length, repeats appear as ``x^m`` (m >= 2)."""
+def format_multiset(values: Iterable[RationalLike]) -> str:
+    """Render a multiset in ascending order; repeats appear as ``x^m`` (m >= 2)."""
     elements = sorted(Fraction(v) for v in values)
-    if not run_length:
-        return " ".join(str(v) for v in elements)
     return format_runs((v, len(list(group))) for v, group in groupby(elements))
 
 
@@ -126,10 +124,6 @@ def ksums(a: Sequence[RationalLike], k: int, denominator: int | None = None) -> 
     if g != 1:
         sums, den = [v // g for v in sums], den // g
     return SumMultiset(tuple(sums), den, source_n=n, source_k=k)
-
-
-def multiset_equal(x: SumMultiset, y: SumMultiset) -> bool:
-    return x.denominator == y.denominator and x.numerators == y.numerators
 
 
 def power_sum(a: NumberMultiset, p: int) -> Fraction:
@@ -206,9 +200,3 @@ def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...]
         for sign in (1, -1)
     )
 
-
-def canonical_orbit(a: Sequence[RationalLike]) -> NumberMultiset:
-    """Orbit representative under shift, positive scale and reflection: the
-    ``Fraction`` view of ``collision_class_key(a)[0]``, integers summing to
-    zero with gcd 1, or its reflection when that sorts first."""
-    return tuple(map(Fraction, collision_class_key(a)[0]))

@@ -38,7 +38,6 @@ from typing import Iterator, Sequence
 from .elimination import K_SUM, N_ELEMENTS, residual_relations
 from .multisets import (
     NumberMultiset,
-    SumMultiset,
     centred_power_sums,
     check_sum_count,
     collision_class_key,
@@ -68,7 +67,6 @@ class SearchSpec:
     k: int
     bound: int
     symmetric_only: bool = False
-    dedupe_affine: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
@@ -84,7 +82,6 @@ class CollisionRecord:
     first: NumberMultiset
     second: NumberMultiset
     k: int
-    canonical_sums: SumMultiset
 
 
 def _candidate_count(spec: SearchSpec) -> int:
@@ -121,13 +118,6 @@ def _candidates(spec: SearchSpec) -> tuple[int, Iterator[Numerators]]:
 
 def _as_fractions(nums: Numerators, den: int) -> NumberMultiset:
     return tuple(Fraction(v, den) for v in nums)
-
-
-def enumerate_candidates(spec: SearchSpec) -> Iterator[NumberMultiset]:
-    """Deterministic candidate stream for the given search space."""
-    den, stream = _candidates(spec)
-    for nums in stream:
-        yield _as_fractions(nums, den)
 
 
 Key = int  # a candidate's packed k-sum histogram; see _chunk_pairs
@@ -315,12 +305,9 @@ def find_collisions(
         order = tuple(v * (den // sums.denominator) for v in sums.numerators)
         members = sorted(members)
         views = [_as_fractions(nums, den) for nums in members]  # one per member, not per pair
-        pairs += [(order, a, b, sums, x, y) for (a, x), (b, y) in combinations(zip(members, views), 2)]
+        pairs += [(order, a, b, x, y) for (a, x), (b, y) in combinations(zip(members, views), 2)]
     pairs.sort(key=lambda pair: pair[:3])
-    records = [CollisionRecord(x, y, spec.k, sums) for _, _, _, sums, x, y in pairs]
-    if spec.dedupe_affine:
-        records = dedupe_records(records)
-    return records
+    return dedupe_records([CollisionRecord(x, y, spec.k) for _, _, _, x, y in pairs])
 
 
 def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:
@@ -343,8 +330,7 @@ def verify_record(record: CollisionRecord) -> bool:
         return False
     if len(record.first) != len(record.second):
         return False
-    sums = ksums(record.first, record.k)
-    if sums != ksums(record.second, record.k) or sums != record.canonical_sums:
+    if ksums(record.first, record.k) != ksums(record.second, record.k):
         return False
     if (len(record.first), record.k) == (N_ELEMENTS, K_SUM):
         for member in (record.first, record.second):  # S_2 = 0 when every element is equal

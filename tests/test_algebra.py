@@ -14,9 +14,9 @@ from ksumlab.algebra import (
     UnboundVariableError,
     Var,
     evar,
-    parse_rational,
     svar,
 )
+from ksumlab.multisets import parse_multiset
 
 
 def test_var_ordering_s_family_first():
@@ -117,10 +117,10 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("-7") == -7
+    assert parse_multiset("3/4") == (Fraction(3, 4),)
+    assert parse_multiset("-7") == (-7,)
     with pytest.raises(ValueError):
-        parse_rational("x")
+        parse_multiset("x")
 
 
 _VARS = [svar(1), svar(2), svar(3), evar(1), evar(2)]

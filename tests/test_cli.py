@@ -145,6 +145,16 @@ def test_expand_rejects_bad_p(capsys):
     assert "error" in err
 
 
+def test_expand_refuses_costly_requests_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", "30", "-k", "15", "-n", "30")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: E30 at k = 15 would rewrite up to 12766725 terms")
+    for p in range(1, 27):  # every identity of the (12, 4) system stays admitted
+        assert run(capsys, "expand", str(p))[0] == 0
+
+
 def test_expand_fixture_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "fixtures.txt"
     path.write_text("E1 = 0\nE2 = 121*S2\nE3 = 48*S3\n")  # one poisoned coefficient

@@ -9,6 +9,7 @@ from math import comb
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from ksumlab.algebra import MAX_INDEX
 from ksumlab.cli import main
 from ksumlab.multisets import MAX_SUMS
 from ksumlab.search import (
@@ -19,12 +20,15 @@ from ksumlab.search import (
     _candidate_count,
     _key_bits,
 )
+from ksumlab.symfunc import MAX_EXPANSION_TERMS, _term_bound
 
 # Admitted k-sum requests above this many sums are skipped, not because they
 # fail but because they are slow: `collide` on two differing 22-element sets
 # at k = 11, C(22, 11) = 705432 sums, takes about 3 s.  Requests the guard
 # refuses are always kept.
 FAST_SUMS = 20_000
+# Likewise for admitted expansions: a term bound of 200000 can take 1.5 s.
+FAST_TERMS = 5_000
 
 _JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^"]
 
@@ -72,9 +76,10 @@ def collide_argv(draw):
 
 @st.composite
 def expand_argv(draw):
-    # e_expansion has no cost guard: `expand 30 -k 15 -n 30` runs for more
-    # than 20 s, so p, k and n stay small here.
-    p, k, n = draw(st.integers(-1, 26)), draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    p, k, n = draw(st.integers(-1, 70)), draw(_arity), draw(_size)
+    if 1 <= p <= MAX_INDEX and 1 <= k <= n:
+        bound = _term_bound(p, k)
+        assume(bound <= FAST_TERMS or bound > MAX_EXPANSION_TERMS)
     flags = draw(st.lists(st.sampled_from(["--s1-zero", "--check-fixtures"]), unique=True))
     return ["expand", str(p), "-k", str(k), "-n", str(n), *flags]
 

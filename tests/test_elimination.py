@@ -237,7 +237,6 @@ def test_s7_condition_fails_generically():
 def test_residual_indices():
     assert residual_equation_indices() == (13,) + tuple(range(15, 27))
     assert len(residual_equation_indices()) == 13
-    assert residual_equation_indices(15) == (13, 15)
 
 
 def test_residuals_vanish_on_known_pair():
@@ -256,8 +255,6 @@ def test_residuals_nonzero_on_random_sets():
 
 
 def test_residual_preconditions():
-    with pytest.raises(BadRangeError):
-        residual_relations(power_sum_vector(COLLISION_FIRST, 12), pmax=14)
     with pytest.raises(BadRangeError):
         residual_relations(power_sum_vector(COLLISION_FIRST, 11))
     with pytest.raises(ValueError):

@@ -17,16 +17,21 @@ from hypothesis import strategies as st
 import ksumlab
 from ksumlab import search
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
-from ksumlab.multisets import canonical_orbit, ksums, parse_multiset, power_sum
+from ksumlab.multisets import affine_image, ksums, parse_multiset, power_sum
 from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
     collision_class_key,
     dedupe_records,
-    enumerate_candidates,
     find_collisions,
     verify_record,
 )
+
+
+def _fraction_candidates(spec):
+    """The candidate stream of ``search._candidates`` as Fraction tuples."""
+    den, stream = search._candidates(spec)
+    return [tuple(Fraction(v, den) for v in nums) for nums in stream]
 
 
 def test_spec_validation():
@@ -41,13 +46,13 @@ def test_spec_validation():
 
 
 def test_symmetric_enumeration_smallest():
-    got = list(enumerate_candidates(SearchSpec(n=2, k=1, bound=1, symmetric_only=True)))
+    got = _fraction_candidates(SearchSpec(n=2, k=1, bound=1, symmetric_only=True))
     assert got == [(0, 0), (-1, 1)]
 
 
 def test_symmetric_enumeration_count():
     spec = SearchSpec(n=12, k=4, bound=8, symmetric_only=True)
-    candidates = list(enumerate_candidates(spec))
+    candidates = _fraction_candidates(spec)
     assert len(candidates) == 3003  # C(9 + 6 - 1, 6)
     assert len(set(candidates)) == 3003
     assert all(power_sum(c, 1) == 0 for c in candidates[:50])
@@ -55,7 +60,7 @@ def test_symmetric_enumeration_count():
 
 def test_general_enumeration_is_shifted_and_deduplicated():
     spec = SearchSpec(n=4, k=2, bound=7)
-    candidates = list(enumerate_candidates(spec))
+    candidates = _fraction_candidates(spec)
     assert all(power_sum(c, 1) == 0 for c in candidates)
     assert len(set(candidates)) == len(candidates)
     # {0,1,2,3} and {4,5,6,7} shift to the same representative
@@ -69,7 +74,7 @@ def test_symmetric_search_finds_known_pair():
     found = {tuple(sorted(records[0].first)), tuple(sorted(records[0].second))}
     assert found == {COLLISION_FIRST, COLLISION_SECOND}
     assert records[0].k == 4
-    assert len(records[0].canonical_sums.sums) == 495
+    assert ksums(records[0].first, 4) == ksums(records[0].second, 4)
     assert verify_record(records[0])
 
 
@@ -98,13 +103,13 @@ def test_determinism_across_workers():
 
 
 def test_dedupe_collapses_affine_copies():
-    spec_all = SearchSpec(n=4, k=2, bound=7, dedupe_affine=False)
-    spec_dd = SearchSpec(n=4, k=2, bound=7, dedupe_affine=True)
-    raw = find_collisions(spec_all)
-    deduped = find_collisions(spec_dd)
-    assert len(deduped) < len(raw)
-    assert dedupe_records(raw) == deduped
+    deduped = find_collisions(SearchSpec(n=4, k=2, bound=7))
+    keys = [collision_class_key(r.first, r.second) for r in deduped]
+    assert len(set(keys)) == len(keys)
     assert dedupe_records(deduped) == deduped
+    first = deduped[0]
+    copy = CollisionRecord(affine_image(first.second, -3, 5), affine_image(first.first, -3, 5), first.k)
+    assert dedupe_records([first, copy, *deduped[1:]]) == deduped
 
 
 def test_collision_class_key_invariances():
@@ -128,23 +133,16 @@ def test_verify_record_rejects_tampering():
     assert verify_record(good)
 
     bumped = tuple(sorted(good.second[:-1] + (good.second[-1] + 1,)))
-    assert not verify_record(
-        CollisionRecord(good.first, bumped, good.k, good.canonical_sums)
-    )
-    assert not verify_record(
-        CollisionRecord(good.first, good.first, good.k, good.canonical_sums)
-    )
+    assert not verify_record(CollisionRecord(good.first, bumped, good.k))
+    assert not verify_record(CollisionRecord(good.first, good.first, good.k))
 
 
 def test_verify_record_checks_residuals_for_twelve_four():
-    sums = ksums(COLLISION_FIRST, 4)
-    record = CollisionRecord(COLLISION_FIRST, COLLISION_SECOND, 4, sums)
+    record = CollisionRecord(COLLISION_FIRST, COLLISION_SECOND, 4)
     assert verify_record(record)
     # a 12-element "pair" with matching sums cannot be faked: unequal sums
     # already fail before the residual stage
-    fake = CollisionRecord(
-        COLLISION_FIRST, tuple(sorted(COLLISION_SECOND[:-1] + (9,))), 4, sums
-    )
+    fake = CollisionRecord(COLLISION_FIRST, tuple(sorted(COLLISION_SECOND[:-1] + (9,))), 4)
     assert not verify_record(fake)
 
 
@@ -254,7 +252,7 @@ def _seen_set_stream(n, bound, symmetric):
 )
 def test_candidate_stream_matches_seen_set_reference(n, bound, symmetric):
     spec = SearchSpec(n=n, k=1, bound=bound, symmetric_only=symmetric)
-    got = list(enumerate_candidates(spec))
+    got = _fraction_candidates(spec)
     assert got == list(_seen_set_stream(n, bound, symmetric))
     assert len(got) == search._candidate_count(spec)
 
@@ -299,7 +297,7 @@ def test_collision_class_key_matches_fraction_reference(data):
     assert keys == references  # so keys agree exactly when the references do
     assert [hash(key) for key in keys] == [hash(ref) for ref in references]
     assert keys[0] == keys[1]  # the swapped affine image is the same collision
-    assert canonical_orbit(first) == _reference_class_key(first)[0]
+    assert collision_class_key(first) == _reference_class_key(first)  # one multiset's orbit
 
 
 def _bin_width(n, k):
@@ -332,7 +330,7 @@ def test_general_checkpoint_bytes_are_pinned(tmp_path):
     assert digest == "71475c376f43200ce520dd49ffd176f766dc8906d38ee559cc23b741beea39f5"
     lines = ck.read_text().splitlines()
     keys = [int(key, 16) for line in lines[1:] for key in json.loads(line)["keys"]]
-    candidates = list(enumerate_candidates(spec))
+    candidates = _fraction_candidates(spec)
     assert len(keys) == len(candidates)
     for key, candidate in zip(keys, candidates):
         assert _decode_key(key, _bin_width(4, 2)) == _sorted_sum_histogram(candidate, 2)
@@ -341,7 +339,7 @@ def test_general_checkpoint_bytes_are_pinned(tmp_path):
 def test_format_two_checkpoint_is_refused(tmp_path):
     spec = SearchSpec(n=4, k=2, bound=7)
     header = {"format": 2, "n": 4, "k": 2, "bound": 7, "symmetric": False, "chunk_size": search.CHUNK_SIZE}
-    sums = [ksums(candidate, 2) for candidate in enumerate_candidates(spec)]
+    sums = [ksums(candidate, 2) for candidate in _fraction_candidates(spec)]
     chunk = {"chunk": 0, "keys": [[s.denominator, list(s.numerators)] for s in sums]}
     ck = tmp_path / "progress.jsonl"
     ck.write_text(json.dumps({"header": header}) + "\n" + json.dumps(chunk) + "\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from ksumlab.algebra import Poly, svar
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import as_multiset, power_sum
 from ksumlab.symfunc import (
+    MAX_EXPANSION_TERMS,
+    _partitions,
+    _term_bound,
     BadRangeError,
     TooManyPartsError,
     composition,
@@ -22,7 +26,6 @@ from ksumlab.symfunc import (
     macmahon_reduce,
     monomial_power_sum_direct,
     newton_extend,
-    partitions_max_parts,
     reduce_high_powers,
     reduce_monomial,
 )
@@ -42,8 +45,8 @@ def test_composition_canonical_form():
 
 
 def test_partitions_max_parts():
-    assert partitions_max_parts(4, 2) == [(4,), (3, 1), (2, 2)]
-    assert partitions_max_parts(3, 3) == [(3,), (2, 1), (1, 1, 1)]
+    assert list(_partitions(4, 2, 4)) == [(4,), (3, 1), (2, 2)]
+    assert list(_partitions(3, 3, 3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
 def test_direct_single_part_is_power_sum():
@@ -155,6 +158,35 @@ def test_e_expansion_bad_ranges():
         e_expansion(3, 13, 12, True)
     with pytest.raises(BadRangeError):
         e_expansion(3, 0, 12, True)
+
+
+def test_e_expansion_refuses_costly_requests_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(BadRangeError, match="up to 12766725 terms"):
+        e_expansion(30, 15, 30, False)
+    assert time.perf_counter() - start < 1
+    assert max(_term_bound(p, 4) for p in range(1, 27)) == 2347 <= MAX_EXPANSION_TERMS
+    with pytest.raises(ValueError, match="variable index"):  # the index check comes first
+        e_expansion(65, 64, 64, False)
+
+
+def _bell(j):
+    """The j-th Bell number, read off the Bell triangle."""
+    row = [1]
+    for _ in range(j):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+@pytest.mark.parametrize("p, k", [(1, 1), (6, 2), (8, 3), (10, 4), (12, 6), (9, 9), (14, 20)])
+def test_term_bound_sums_a_bound_over_the_partitions(p, k):
+    parts = list(_partitions(p, k, p))
+    lengths = [len(q) for q in _partitions(p, p, p)]  # of every partition of p
+    assert _term_bound(p, k) == sum(min(_bell(len(q)), sum(j <= len(q) for j in lengths)) for q in parts)
+    assert sum(len(reduce_monomial(q)) for q in parts) <= _term_bound(p, k)
 
 
 def test_e_expansion_matches_oracle_on_random_set():
