@@ -257,11 +257,6 @@ class Poly:
     def variable(cls, var: Var) -> "Poly":
         return cls._make({_UNITS[_slot(var)]: 1}, 1)
 
-    @classmethod
-    def term(cls, coeff: RationalLike, exponents: Mapping[Var, int]) -> "Poly":
-        q = Fraction(coeff)
-        return cls._make({Monomial(exponents).key: q.numerator}, q.denominator)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -271,9 +266,6 @@ class Poly:
             den = self._den
             self._terms = {Monomial._of(k): Fraction(v, den) for k, v in self._num.items()}
         return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def coefficient(self, exponents: Monomial | Mapping[Var, int]) -> Fraction:
         mono = exponents if isinstance(exponents, Monomial) else Monomial(exponents)
@@ -551,7 +543,10 @@ def _parse_poly(text: str) -> Poly:
                     i += 2
                 exponents[var] = exponents.get(var, 0) + exp
             else:
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {tok!r}") from None
             saw_factor = True
             i += 1
             if i < n and tokens[i] == "*":

@@ -19,7 +19,7 @@ NumberMultiset = tuple[Fraction, ...]
 
 # ksums materialises every sum, so larger requests are refused before any
 # work; symmetric (16, 8) needs 12870 sums, and C(22, 11) = 705432 sums take
-# about 0.25 s and 35 MB.
+# about 0.25 s and 35 MB.  A set literal may not hold more elements either.
 MAX_SUMS = 1_000_000
 
 
@@ -41,7 +41,8 @@ _ELEMENT = re.compile(r"^(-?\d+(?:/\d+)?)(?:\^(\d+))?$")
 def parse_multiset(text: str) -> NumberMultiset:
     """Parse a set literal: integers or p/q, whitespace/comma separated.
 
-    A token ``x^m`` repeats the element m times, e.g. ``0^10``.
+    A token ``x^m`` repeats the element m times, e.g. ``0^10``; a literal of
+    more than ``MAX_SUMS`` elements is refused before it is built.
     """
     values: list[Fraction] = []
     for token in re.split(r"[\s,]+", text.strip()):
@@ -53,6 +54,8 @@ def parse_multiset(text: str) -> NumberMultiset:
         count = int(match.group(2)) if match.group(2) else 1
         if count < 1:
             raise ValueError(f"bad multiplicity in {token!r}")
+        if len(values) + count > MAX_SUMS:
+            raise ValueError(f"the set literal has more than the {MAX_SUMS} elements allowed")
         try:
             value = Fraction(match.group(1))
         except ZeroDivisionError:

@@ -294,20 +294,20 @@ def find_collisions(
             f"the search space has {pair_count} pairs of candidates with equal {spec.k}-sums,"
             f" more than the {MAX_PAIRS} allowed; lower the bound or k"
         )
-    # Order as (sums, first, second) would order Fractions: every sum's
-    # denominator divides den, and all candidates share den.
-    pairs = []
+    # Buckets have distinct k-sums, so sorting them by sums, then members, orders the
+    # records as (sums, first, second); every sum's denominator divides den.
+    buckets = []
     for members in shared:
         if len(set(_chunk_pairs((spec.k, den, members)))) > 1:
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
         sums = ksums(members[0], spec.k, den)
-        order = tuple(v * (den // sums.denominator) for v in sums.numerators)
-        members = sorted(members)
-        views = [_as_fractions(nums, den) for nums in members]  # one per member, not per pair
-        pairs += [(order, a, b, x, y) for (a, x), (b, y) in combinations(zip(members, views), 2)]
-    pairs.sort(key=lambda pair: pair[:3])
-    return dedupe_records([CollisionRecord(x, y, spec.k) for _, _, _, x, y in pairs])
+        buckets.append((tuple(v * (den // sums.denominator) for v in sums.numerators), sorted(members)))
+    return dedupe_records([
+        CollisionRecord(x, y, spec.k)
+        for _, members in sorted(buckets)
+        for x, y in combinations([_as_fractions(nums, den) for nums in members], 2)
+    ])
 
 
 def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:

@@ -96,18 +96,35 @@ def reduce_monomial(parts: Iterable[int]) -> Poly:
     return _reduce_monomial(composition(parts))
 
 
+def _newton(s: list, e: list, n: int, upto: int) -> None:
+    """Newton's identities for n elements, on Poly or Fraction values alike.
+
+    ``s[p]`` is S_p (``s[0]`` is never read) and ``e[j]`` is e_j, from e_0 = 1.
+    Extends ``e`` in place to e_n by j e_j = S_1 e_{j-1} - S_2 e_{j-2} + ...,
+    then ``s`` to S_upto by S_m = e_1 S_{m-1} - e_2 S_{m-2} + ... +- e_n S_{m-n}.
+    """
+
+    def alternating(a: list, b: list, top: int, count: int):
+        total = a[1] * b[top - 1]
+        for i in range(2, count + 1):
+            term = a[i] * b[top - i]
+            total = total - term if i % 2 == 0 else total + term
+        return total
+
+    for j in range(len(e), n + 1):
+        e.append(alternating(s, e, j, j) / j)
+    for m in range(len(s), upto + 1):
+        s.append(alternating(e, s, m, n))
+
+
 @lru_cache(maxsize=None)
 def elementary_in_power_sums(j: int) -> Poly:
     """The j-th elementary symmetric function as a polynomial in S_1..S_j."""
     if j < 0:
         raise BadRangeError(f"elementary index must be >= 0, got {j}")
-    if j == 0:
-        return Poly.const(1)
-    acc = Poly.zero()
-    for i in range(1, j + 1):
-        term = elementary_in_power_sums(j - i) * Poly.variable(svar(i))
-        acc = acc + term if i % 2 == 1 else acc - term
-    return acc / j
+    e = [Poly.const(1)] + [elementary_in_power_sums(i) for i in range(1, j)]
+    _newton([None] + [Poly.variable(svar(p)) for p in range(1, j + 1)], e, j, j)
+    return e[j]
 
 
 @lru_cache(maxsize=None)
@@ -115,19 +132,14 @@ def macmahon_reduce(m: int, n: int) -> Poly:
     """S_m for m > n as a polynomial in S_1..S_n, an identity for n elements.
 
     Every element is a root of the degree-n polynomial with the elementary
-    symmetric functions as coefficients, so S_m satisfies the induced linear
-    recurrence; reductions of smaller high indices are substituted as they
-    are produced.
+    symmetric functions as coefficients, so S_m follows from the reductions
+    below it by one step of the recurrence in ``_newton``.
     """
     if n < 1 or m <= n:
         raise BadRangeError(f"need m > n >= 1, got m={m}, n={n}")
-    acc = Poly.zero()
-    for j in range(1, n + 1):
-        lower = m - j
-        tail = Poly.variable(svar(lower)) if lower <= n else macmahon_reduce(lower, n)
-        term = elementary_in_power_sums(j) * tail
-        acc = acc + term if j % 2 == 1 else acc - term
-    return acc
+    s = [None] + [Poly.variable(svar(p)) if p <= n else macmahon_reduce(p, n) for p in range(1, m)]
+    _newton(s, [elementary_in_power_sums(j) for j in range(n + 1)], n, m)
+    return s[m]
 
 
 def reduce_high_powers(poly: Poly, n: int) -> Poly:
@@ -145,25 +157,13 @@ def reduce_high_powers(poly: Poly, n: int) -> Poly:
 def newton_extend(powersums: Sequence[RationalLike], n: int, upto: int) -> list[Fraction]:
     """Extend numeric power sums S_1..S_n of an n-element multiset up to S_upto.
 
-    Returns the list [S_1, ..., S_upto].  Numeric twin of macmahon_reduce,
-    using the same recurrence on values instead of polynomials.
+    Returns the list [S_1, ..., S_upto], by the recurrence that
+    macmahon_reduce applies to polynomials.
     """
     if len(powersums) < n:
         raise BadRangeError(f"need S_1..S_{n}, got only {len(powersums)} entries")
     s = [Fraction(0)] + [Fraction(v) for v in powersums]  # s[p] = S_p
-    elem = [Fraction(1)]  # elem[j] = j-th elementary symmetric value
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            term = elem[j - i] * s[i]
-            acc = acc + term if i % 2 == 1 else acc - term
-        elem.append(acc / j)
-    for m in range(len(s), upto + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            term = elem[j] * s[m - j]
-            acc = acc + term if j % 2 == 1 else acc - term
-        s.append(acc)
+    _newton(s, [Fraction(1)], n, upto)
     return s[1:upto + 1]
 
 

@@ -114,6 +114,8 @@ def test_parse_rejects_garbage():
     for bad in ("S", "2S", "S2 +", "S2 ** 2", "1.5*S2", ""):
         with pytest.raises(ValueError):
             Poly.parse(bad)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        Poly.parse("1/0*S2^3")
 
 
 def test_parse_rational():

@@ -11,7 +11,7 @@ import pytest
 import ksumlab
 from ksumlab import search
 from ksumlab.cli import main
-from ksumlab.multisets import parse_multiset
+from ksumlab.multisets import MAX_SUMS, parse_multiset
 from ksumlab.search import collision_class_key
 
 FIRST = "0 0 1 -1 2 -2 4 -4 7 -7 7 -7"
@@ -166,11 +166,12 @@ def test_expand_fixture_override(tmp_path, capsys, monkeypatch):
 
 def test_expand_rejects_malformed_fixture(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.txt"
-    bad.write_text("E2 = 120*S2^\n")
     monkeypatch.setenv("KSUMLAB_FIXTURES", str(bad))
-    code, out, err = run(capsys, "expand", "2", "--check-fixtures")
-    assert code == 2
-    assert out == "" and err.startswith("error: cannot load fixtures")
+    for line, p in (("E2 = 120*S2^", "2"), ("E6 = 1/0*S2^3", "6")):
+        bad.write_text(line + "\n")
+        code, out, err = run(capsys, "expand", p, "--check-fixtures")
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot load fixtures")
 
 
 def test_eliminate_verify_coefficients(capsys):
@@ -423,6 +424,22 @@ def test_oversized_k_sums_fail_fast(argv):
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error:") and "137846528820" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ksums", "0^10000000000000", "-k", "1"),
+        ("collide", "1 2", "0^999999 1 2", "-k", "1"),
+        ("eliminate", "--residuals", "0^1000001"),
+    ],
+)
+def test_oversized_set_literals_fail_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than the {MAX_SUMS} elements allowed" in err
 
 
 @pytest.mark.parametrize("n, bound", [("50000", "1"), ("706", "2")])

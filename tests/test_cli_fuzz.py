@@ -30,7 +30,7 @@ FAST_SUMS = 20_000
 # Likewise for admitted expansions: a term bound of 200000 can take 1.5 s.
 FAST_TERMS = 5_000
 
-_JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^"]
+_JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^", "0^10000000000000"]
 
 # Sizes up to 40, with small ones drawn often enough to reach the searches
 # and comparisons that run to the end.

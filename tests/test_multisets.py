@@ -38,6 +38,17 @@ def test_parse_rejects_bad_input():
             parse_multiset(bad)
 
 
+def test_parse_refuses_oversized_literals_before_building_them(monkeypatch):
+    with pytest.raises(ValueError, match=f"more than the {MAX_SUMS} elements"):
+        parse_multiset("0^10000000000000")
+    with pytest.raises(ValueError, match=f"more than the {MAX_SUMS} elements"):
+        parse_multiset(f"1 0^{MAX_SUMS}")
+    monkeypatch.setattr("ksumlab.multisets.MAX_SUMS", 5)  # the bound is inclusive
+    assert parse_multiset("1 0^3 2") == (0, 0, 0, 1, 2)
+    with pytest.raises(ValueError, match="more than the 5 elements"):
+        parse_multiset("1 0^3 2 3")
+
+
 def test_format_run_length():
     assert format_multiset(DOUBLE_ROOT_SET) == "-1 0^10 1"
     assert format_multiset((1, 1, 1, 2)) == "1^3 2"

@@ -4,6 +4,8 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ksumlab.symfunc import (
     composition,
     e_expansion,
     e_power_sums,
+    elementary_in_power_sums,
     load_identity_fixtures,
     macmahon_reduce,
     monomial_power_sum_direct,
@@ -133,6 +136,28 @@ def test_newton_extend_matches_direct():
         assert got == [power_sum(a, p) for p in range(1, n + 9)]
 
 
+def test_newton_extend_stays_exact_on_int_input():
+    # e_j = (...) / j must never become an int / int float division
+    got = newton_extend([1, 2, 3, 4], 4, 10)
+    assert all(type(v) is Fraction for v in got)
+    assert got == [1, 2, 3, 4] + [
+        Fraction(139, 24), Fraction(197, 24), Fraction(559, 48),
+        Fraction(2383, 144), Fraction(13535, 576), Fraction(9611, 288),
+    ]
+
+
+def test_elementary_matches_combination_products():
+    rng = random.Random(8128)
+    for j in range(9):
+        for size in (j, j + 3):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
+            env = {svar(p): sum(x**p for x in a) for p in range(1, j + 1)}
+            direct = sum(prod(c, start=Fraction(1)) for c in combinations(a, j))
+            assert elementary_in_power_sums(j).evaluate(env) == direct, (j, a)
+    with pytest.raises(BadRangeError):
+        elementary_in_power_sums(-1)
+
+
 def test_e_expansion_displayed_examples():
     assert e_expansion(2, 4, 12, True) == Poly.parse("120*S2")
     assert e_expansion(2, 4, 12, False) == Poly.parse("120*S2 + 45*S1^2")
@@ -232,6 +257,9 @@ RENDER_DIGESTS = {
     "e_expansion_s1_zero": "abd217ef8c979c7e8648e6c749999f1ea9f63984cddd3ac0e90299d37f13858b",
     "macmahon_reduce": "63a4625a1fadaf49b118c1fedbf82c6added02f3e897cbdc0652634feef6eaf2",
 }
+# The same digest of elementary_in_power_sums(j) for j = 0..12, recorded
+# before the symbolic and numeric recurrences were merged into one.
+ELEMENTARY_DIGEST = "4529e408e07ffd5f9f84fa91d09add8a9e5afc9f816c6ad67b70db460b5780fc"
 
 
 def test_renders_match_pinned_digests():
@@ -244,3 +272,8 @@ def test_renders_match_pinned_digests():
         "macmahon_reduce": digest(macmahon_reduce(m, 12) for m in range(13, 27)),
     }
     assert got == RENDER_DIGESTS
+
+
+def test_elementary_renders_match_pinned_digest():
+    renders = "\n".join(elementary_in_power_sums(j).render() for j in range(13))
+    assert hashlib.sha256(renders.encode()).hexdigest() == ELEMENTARY_DIGEST
