@@ -89,11 +89,11 @@ class Var:
 
 
 def svar(index: int) -> Var:
-    return Var(S_FAMILY, index)
+    return _VARS[index - 1] if 1 <= index <= MAX_INDEX else Var(S_FAMILY, index)
 
 
 def evar(index: int) -> Var:
-    return Var(E_FAMILY, index)
+    return _VARS[MAX_INDEX + index - 1] if 1 <= index <= MAX_INDEX else Var(E_FAMILY, index)
 
 
 # Slot s (0 for S1, MAX_INDEX for E1) holds its exponent at bit
@@ -424,48 +424,72 @@ class Poly:
                 acc[k] = get(k, 0) + v * mult
         return Poly._make(acc, acc_den * self._den)
 
-    def _decoded_terms(self) -> tuple[list[tuple[int, int, tuple[int, ...]]], list[int]]:
-        """(numerator, degree, codes) per term, where a code is
-        ``slot << EXP_BITS | exp``, and the slots of all variables."""
+    def _decoded_terms(self) -> tuple[list[tuple[int, tuple[int, int], tuple[int, ...]]], list[int], set[int]]:
+        """(numerator, (degree, weight), codes) per term, where a code is
+        ``slot << EXP_BITS | exp`` and the weight counts each variable's
+        index once per exponent; the slots of all variables; all codes."""
         if self._decoded is None:
-            terms = [
-                (v, k >> _DEGREE_SHIFT, tuple(slot << EXP_BITS | exp for slot, exp in _fields(k)))
-                for k, v in self._num.items()
-            ]
+            terms = []
+            for k, v in self._num.items():
+                fields = list(_fields(k))
+                weight = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields)
+                terms.append((v, (k >> _DEGREE_SHIFT, weight), tuple(slot << EXP_BITS | exp for slot, exp in fields)))
             union = 0
             for key in self._num:
                 union |= key
-            self._decoded = (terms, [slot for slot, _ in _fields(union)])
+            codes = {code for _, _, term_codes in terms for code in term_codes}
+            self._decoded = (terms, [slot for slot, _ in _fields(union)], codes)
         return self._decoded
+
+    def _bound_values(self, values: Mapping[Var, RationalLike]) -> tuple[list[int], list[RationalLike]]:
+        """The slots of all variables and their values; every one must be bound."""
+        slots = self._decoded_terms()[1]
+        try:
+            return slots, [values[_VARS[slot]] for slot in slots]
+        except KeyError as unbound:
+            raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
+
+    def _over_scale(self, ints: list[int], slots: list[int], scale: int, grade: int) -> Fraction:
+        """The value at ``ints[i] / scale**g`` for the variable in ``slots[i]``,
+        where g is 1 (``grade`` 0: by degree) or the variable's index (``grade``
+        1: by weight).  The one evaluation loop: the sum runs over ints with
+        one power table per call, per grade first, since a term of grade d
+        carries ``scale**d`` in its denominator."""
+        terms, _, codes = self._decoded_terms()
+        if not terms:
+            return Fraction(0)
+        values = dict(zip(slots, ints))
+        power = {code: values[code >> EXP_BITS] ** (code & _EXP_MASK) for code in codes}
+        by_grade: dict[int, int] = {}
+        for num, grades, term_codes in terms:
+            for code in term_codes:
+                num *= power[code]
+            g = grades[grade]
+            by_grade[g] = by_grade.get(g, 0) + num
+        top = max(by_grade)
+        total = sum(s * scale ** (top - g) for g, s in by_grade.items())
+        return Fraction(total, self._den * scale**top)
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
         """Exact value of the polynomial; every variable must be bound.
 
-        The values are brought to one denominator ``scale`` and the sum
-        runs over ints, with one power table per call.  A degree-d term
-        carries ``scale**d`` in its denominator, so the terms are summed
-        per degree first.
+        The values are brought to one denominator ``scale``, which a term
+        of degree d carries to the power d.
         """
-        terms, slots = self._decoded_terms()
-        if not terms:
-            return Fraction(0)
-        missing = [_VARS[slot] for slot in slots if _VARS[slot] not in values]
-        if missing:
-            raise UnboundVariableError(f"no value bound for {missing[0]}")
-        nums, scale = over_common_denominator([Fraction(values[_VARS[slot]]) for slot in slots])
-        ints = dict(zip(slots, nums))
-        powers: dict[int, int] = {}
-        by_degree: dict[int, int] = {}
-        for num, degree, codes in terms:
-            for code in codes:
-                p = powers.get(code)
-                if p is None:
-                    p = powers[code] = ints[code >> EXP_BITS] ** (code & _EXP_MASK)
-                num *= p
-            by_degree[degree] = by_degree.get(degree, 0) + num
-        top = max(by_degree)
-        total = sum(s * scale ** (top - d) for d, s in by_degree.items())
-        return Fraction(total, self._den * scale**top)
+        slots, bound = self._bound_values(values)
+        nums, scale = over_common_denominator([Fraction(v) for v in bound])
+        return self._over_scale(nums, slots, scale, 0)
+
+    def evaluate_weighted(self, numerators: Mapping[Var, int], scale: int) -> Fraction:
+        """Exact value at ``numerators[v] / scale**i`` for each variable v of index i.
+
+        S_i and E_i have weight i, and so does a power sum of i-th powers:
+        power sums of numbers over a common denominator ``scale`` are
+        integers over ``scale**i``.  A polynomial of weight w then needs one
+        division by ``scale**w``, and no common denominator is formed.
+        """
+        slots, bound = self._bound_values(numerators)
+        return self._over_scale(bound, slots, scale, 1)
 
     # -- rendering and parsing ---------------------------------------------
 

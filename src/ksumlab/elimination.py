@@ -19,16 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable, Mapping
+from math import gcd, isqrt, prod
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Monomial, Poly, Var, evar, svar
 from .multisets import PowerSumVector
-from .symfunc import BadRangeError, e_expansion, newton_extend, reduce_high_powers
+from .symfunc import BadRangeError, _newton, e_expansion, reduce_high_powers
 
 N_ELEMENTS = 12
 K_SUM = 4
 PMAX = 26  # the last identity the residual relations check
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    return tuple(q for q in range(2, bound) if all(q % r for r in range(2, q)))
+
+
+# The primes up to N_ELEMENTS, a factor of every scale that Newton's
+# identities run under, so that their divisions are exact on ints.
+_NEWTON_PRIMES = prod(_primes_below(N_ELEMENTS + 1))
+# Primes that _over_weighted_denominator takes to their least exponent.
+_SMALL_PRIMES = _primes_below(100)
 
 
 class NonLinearPivotError(RuntimeError):
@@ -204,17 +215,69 @@ def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fractio
     return -quad.c1.evaluate(evalues) / c2 - s_free
 
 
+def _over_weighted_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``nums`` and a scale D with ``values[i] == nums[i] / D**(i+1)``.
+
+    D is the product of the primes up to n times a scale W such that
+    ``den(values[i])`` divides ``W**(i+1)``.  W holds each prime below 100 to
+    the least exponent that does this.  What is left of a denominator enters
+    W whole, less its gcd with the power of W formed so far; that is the
+    least exponent too when the leftover is one prime to a power of at most
+    i+1.  The lcm of the denominators is also such a W, but a far larger one.
+    """
+    exps: dict[int, int] = {}
+    rest = 1
+    for weight, v in enumerate(values, 1):
+        d = v.denominator
+        for q in _SMALL_PRIMES:
+            if d % q == 0:
+                e = 0
+                while d % q == 0:
+                    d //= q
+                    e += 1
+                exps[q] = max(exps.get(q, 0), -(-e // weight))
+        if d > 1:
+            rest *= d // gcd(d, rest**weight)
+    scale = _NEWTON_PRIMES * rest * prod(q**e for q, e in exps.items())
+    nums, power = [], 1
+    for v in values:
+        power *= scale
+        nums.append(v.numerator * (power // v.denominator))
+    return nums, scale
+
+
+def _weighted_power_sums(values: Sequence[Fraction], upto: int) -> tuple[dict[Var, int], int]:
+    """Integers P_p and a scale D with S_p = P_p / D**p for p = 1..upto.
+
+    ``values`` holds S_1, S_2, ...; beyond its end, S_p follows from
+    S_1..S_n by Newton's identities for n = N_ELEMENTS elements, run on the
+    P_p, which are integer power sums of weight p.  D carries every prime
+    up to n, which makes each of Newton's divisions exact.
+    """
+    nums, scale = _over_weighted_denominator(values[:upto])
+    ints = [0, *nums]
+    if upto > len(nums):
+        _newton(ints, [1], N_ELEMENTS, upto)
+    return {svar(p): ints[p] for p in range(1, upto + 1)}, scale
+
+
+def _evalues(values: Sequence[Fraction], indices: Iterable[int]) -> dict[Var, Fraction]:
+    """The E-values the identities give at power sums S_1, S_2, ... (``values``,
+    extended as in _weighted_power_sums): E_i for each i of ``indices``."""
+    indices = list(indices)
+    nums, scale = _weighted_power_sums(values, max(indices))
+    return {evar(i): identity_poly(i).evaluate_weighted(nums, scale) for i in indices}
+
+
 def second_root(s: PowerSumVector) -> Fraction:
     """The other root of the quadratic in S_free, from the power sums of one
     realizing multiset (S_1 = 0, S_2 nonzero): by Vieta, at the values the
     identities give for the E-variables of c1 and c2 (E2..E5 and E8)."""
     quad = fourteenth_quadratic()
     free = build_elimination_tables().free
-    evars = quad.c1.variables() | quad.c2.variables()
-    _require_zero_s1(s, upto=max(free, *(v.index for v in evars)))
-    values = {svar(p): v for p, v in enumerate(s.values, 1)}
-    evalues = {v: identity_poly(v.index).evaluate(values) for v in evars}
-    return _vieta_partner(evalues, s[free])
+    indices = {v.index for v in quad.c1.variables() | quad.c2.variables()}
+    _require_zero_s1(s, upto=max(free, *indices))
+    return _vieta_partner(_evalues(s.values, indices), s[free])
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +292,9 @@ def s7_linear_condition(s: PowerSumVector) -> Fraction:
     linear in S_free (13) vanishes, as it must for two roots; that coefficient,
     written in S_2..S_7, is solved once for its highest power sum."""
     condition = _s7_condition()
-    _require_zero_s1(s, upto=max(v.index for v in condition.variables()))
-    return condition.evaluate({v: s[v.index] for v in condition.variables()})
+    upto = max(v.index for v in condition.variables())
+    _require_zero_s1(s, upto=upto)
+    return condition.evaluate_weighted(*_weighted_power_sums(s.values, upto))
 
 
 def residual_equation_indices() -> tuple[int, ...]:
@@ -248,20 +312,27 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     then reconstruct the would-be partner's power sums, and each equation of
     ``residual_equation_indices()`` is evaluated against both.  All are
     zero exactly when a consistent second solution exists at this level.
+
+    Both members run on weight-scaled integers.  E_p, e_p, S_p and every
+    table entry for S_p have weight p, so with a scale D such that
+    den(S_p) divides D^p, the integers P_p = S_p D^p go through Newton's
+    identities up to P_PMAX and through each identity polynomial, and only
+    the value of E_p is divided, once, by D^p.  D is the least such scale
+    in the primes below 100 (leftover factors are kept whole), times the
+    primes up to n, which make Newton's divisions by j exact: j! e_j is an
+    integer polynomial in the power sums and j! has fewer than j factors of
+    each prime.  The partner's S_p come from the tables as rationals and get
+    their own scale Q, chosen the same way.
     """
     _require_zero_s1(s, upto=N_ELEMENTS)
-
-    extended = newton_extend(s.values[:N_ELEMENTS], N_ELEMENTS, PMAX)
-    first_values = {svar(p): extended[p - 1] for p in range(1, PMAX + 1)}
-    evalues = {evar(i): identity_poly(i).evaluate(first_values) for i in range(1, PMAX + 1)}
-
+    evalues = _evalues(s.values[:N_ELEMENTS], range(1, PMAX + 1))
     tables = build_elimination_tables()
     free = svar(tables.free)
     at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
     dual = {1: Poly.zero(), **tables.low, tables.free: Poly.variable(free), **tables.high}
-    dual_extended = newton_extend([expr.evaluate(at_second) for expr in dual.values()], N_ELEMENTS, PMAX)
-    dual_values = {svar(p): dual_extended[p - 1] for p in range(1, PMAX + 1)}
-    return [evalues[evar(p)] - identity_poly(p).evaluate(dual_values) for p in residual_equation_indices()]
+    indices = residual_equation_indices()
+    dual_evalues = _evalues([expr.evaluate(at_second) for expr in dual.values()], indices)
+    return [evalues[evar(p)] - dual_evalues[evar(p)] for p in indices]
 
 
 def _require_zero_s1(s: PowerSumVector, upto: int) -> None:

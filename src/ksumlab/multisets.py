@@ -7,10 +7,12 @@ equality is plain tuple equality and every derived quantity is exact.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from math import comb, gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .algebra import RationalLike, over_common_denominator
@@ -29,7 +31,13 @@ class BadKError(ValueError):
 
 def as_multiset(values: Iterable[RationalLike]) -> NumberMultiset:
     """Sorted tuple of exact rationals; the canonical multiset form."""
-    elements = tuple(sorted(Fraction(v) for v in values))
+    return _from_runs((Fraction(v), len(list(run))) for v, run in groupby(values))
+
+
+def _from_runs(runs: Iterable[tuple[Fraction, int]]) -> NumberMultiset:
+    """The multiset of ``(value, multiplicity)`` runs, in any order: the runs
+    are sorted, and each value is repeated as one shared object."""
+    elements = tuple(chain.from_iterable(repeat(v, count) for v, count in sorted(runs, key=itemgetter(0))))
     if not elements:
         raise ValueError("a multiset needs at least one element")
     return elements
@@ -44,7 +52,8 @@ def parse_multiset(text: str) -> NumberMultiset:
     A token ``x^m`` repeats the element m times, e.g. ``0^10``; a literal of
     more than ``MAX_SUMS`` elements is refused before it is built.
     """
-    values: list[Fraction] = []
+    runs: list[tuple[Fraction, int]] = []
+    size = 0
     for token in re.split(r"[\s,]+", text.strip()):
         if not token:
             continue
@@ -54,16 +63,16 @@ def parse_multiset(text: str) -> NumberMultiset:
         count = int(match.group(2)) if match.group(2) else 1
         if count < 1:
             raise ValueError(f"bad multiplicity in {token!r}")
-        if len(values) + count > MAX_SUMS:
+        size += count
+        if size > MAX_SUMS:
             raise ValueError(f"the set literal has more than the {MAX_SUMS} elements allowed")
         try:
-            value = Fraction(match.group(1))
+            runs.append((Fraction(match.group(1)), count))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {token!r}") from None
-        values.extend([value] * count)
-    if not values:
+    if not runs:
         raise ValueError("empty multiset literal")
-    return as_multiset(values)
+    return _from_runs(runs)
 
 
 def format_multiset(values: Iterable[RationalLike]) -> str:
@@ -98,8 +107,9 @@ class SumMultiset:
         return [(Fraction(v, self.denominator), len(list(group))) for v, group in groupby(self.numerators)]
 
     def power_sums(self, m: int) -> PowerSumVector:
-        """Power sums 1..m of the sums."""
-        return _power_sums(self.numerators, self.denominator, m)
+        """Power sums 1..m of the sums, one power per distinct sum."""
+        counts = Counter(self.numerators)
+        return _power_sums(list(counts), self.denominator, m, list(counts.values()))
 
 
 def check_sum_count(n: int, k: int) -> None:
@@ -152,11 +162,12 @@ class PowerSumVector:
         return len(self.values)
 
 
-def _power_sums(ints: Sequence[int], den: int, m: int) -> PowerSumVector:
-    """Power sums 1..m of the numbers ``ints[i] / den``, by running powers."""
+def _power_sums(ints: Sequence[int], den: int, m: int, counts: Sequence[int] | None = None) -> PowerSumVector:
+    """Power sums 1..m of the numbers ``ints[i] / den``, each taken ``counts[i]``
+    times (once when no counts are given), by running powers."""
     if m < 1:
         raise ValueError(f"need at least one entry, got m={m}")
-    values, powers = [], ints
+    values, powers = [], ints if counts is None else [c * x for c, x in zip(counts, ints)]
     for p in range(1, m + 1):
         values.append(Fraction(sum(powers), den**p))
         powers = [x * y for x, y in zip(powers, ints)]

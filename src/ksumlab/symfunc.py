@@ -96,12 +96,27 @@ def reduce_monomial(parts: Iterable[int]) -> Poly:
     return _reduce_monomial(composition(parts))
 
 
+def _exact_quotient(total, j: int):
+    """total / j, where an int total must be a multiple of j."""
+    if not isinstance(total, int):
+        return total / j
+    q, r = divmod(total, j)
+    if r:
+        raise ArithmeticError(f"{j} e_{j} = {total} is not a multiple of {j}")
+    return q
+
+
 def _newton(s: list, e: list, n: int, upto: int) -> None:
-    """Newton's identities for n elements, on Poly or Fraction values alike.
+    """Newton's identities for n elements, on Poly, Fraction or int values alike.
 
     ``s[p]`` is S_p (``s[0]`` is never read) and ``e[j]`` is e_j, from e_0 = 1.
     Extends ``e`` in place to e_n by j e_j = S_1 e_{j-1} - S_2 e_{j-2} + ...,
     then ``s`` to S_upto by S_m = e_1 S_{m-1} - e_2 S_{m-2} + ... +- e_n S_{m-n}.
+    On ints each division by j must be exact, or ArithmeticError is raised.
+    It is when the S_p are power sums of integers, and when each S_p is a
+    multiple of L**p for an L divisible by every prime up to n: e_j is then
+    L**j times an integer polynomial in the S_p / L**p over j!, and j! has
+    fewer than j factors of any prime.
     """
 
     def alternating(a: list, b: list, top: int, count: int):
@@ -112,7 +127,7 @@ def _newton(s: list, e: list, n: int, upto: int) -> None:
         return total
 
     for j in range(len(e), n + 1):
-        e.append(alternating(s, e, j, j) / j)
+        e.append(_exact_quotient(alternating(s, e, j, j), j))
     for m in range(len(s), upto + 1):
         s.append(alternating(e, s, m, n))
 

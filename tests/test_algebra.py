@@ -103,6 +103,16 @@ def test_evaluate_requires_all_variables():
         Poly.parse("S3^2 - S6").evaluate({svar(3): 3})
 
 
+def test_evaluate_weighted_examples():
+    # S2 = 3/4, S3 = 5/8 and E2 = 7/4 over the scale 2
+    numerators = {svar(2): 3, svar(3): 5, evar(2): 7}
+    assert Poly.parse("S2^3 - S3^2").evaluate_weighted(numerators, 2) == Fraction(27, 64) - Fraction(25, 64)
+    assert Poly.parse("1/3*S2*E2 + S3").evaluate_weighted(numerators, 2) == Fraction(7, 16) + Fraction(5, 8)
+    assert Poly.zero().evaluate_weighted({}, 5) == 0
+    with pytest.raises(UnboundVariableError, match="S3"):
+        Poly.parse("S3^2 - S6").evaluate_weighted({svar(6): 1}, 1)
+
+
 def test_render_canonical_order():
     p = Poly.parse("40*S3^2 + 90*S2^3 - 120*S2*S4")
     assert p.render() == "90*S2^3 - 120*S2*S4 + 40*S3^2"
@@ -195,6 +205,17 @@ def test_coefficients_stay_canonical(p):
         assert coeff != 0
         assert coeff.denominator > 0
         assert gcd(coeff.numerator, coeff.denominator) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_evaluate_weighted_matches_evaluate(data):
+    p = data.draw(polys())
+    nums = data.draw(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+    scale = data.draw(st.integers(1, 12))
+    env = {var: Fraction(nums[var.index - 1], scale**var.index) for var in _VARS}
+    weighted = {var: nums[var.index - 1] for var in _VARS}
+    assert p.evaluate_weighted(weighted, scale) == p.evaluate(env)
 
 
 def test_parse_rejects_bad_exponents():

@@ -25,12 +25,15 @@ from ksumlab.elimination import (
 )
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import (
+    affine_image,
     as_multiset,
+    centred_power_sums,
+    parse_multiset,
     power_sum,
     power_sum_vector,
     PowerSumVector,
 )
-from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums
+from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums, newton_extend
 
 
 def random_centered_sets(seed, count, size=12):
@@ -252,6 +255,73 @@ def test_residuals_nonzero_on_random_sets():
         if s[2] == 0:
             continue
         assert any(v != 0 for v in residual_relations(s))
+
+
+def test_weighted_scale_examples():
+    # den(S_p) | D^p: 4 | 2^2 and 8 | 2^3, so 2 and not the lcm 8, times the primes up to 12
+    d = 2 * 3 * 5 * 7 * 11
+    assert elimination._over_weighted_denominator([Fraction(0), Fraction(1, 4), Fraction(1, 8)]) == (
+        [0, d**2, d**3], 2 * d)
+    # a leftover prime first seen to the power one enters once
+    assert elimination._over_weighted_denominator([Fraction(1, 101), Fraction(2, 101**2)])[1] == 101 * d
+
+
+def test_weighted_scale_fits_every_weight():
+    rng = random.Random(606)
+    for _ in range(50):
+        values = [Fraction(rng.randint(-99, 99), rng.choice([1, 6, 49, 97, 101, 2**9, 1000003, 12**5]))
+                  for _ in range(rng.randint(1, 12))]
+        nums, scale = elimination._over_weighted_denominator(values)
+        assert scale % (2 * 3 * 5 * 7 * 11) == 0
+        assert [Fraction(v, scale**w) for w, v in enumerate(nums, 1)] == values
+
+
+def fraction_residuals(s):
+    """The residuals in Fraction arithmetic throughout: Newton's identities by
+    newton_extend and every identity by Poly.evaluate, with no scaling."""
+    tables = build_elimination_tables()
+    quad = fourteenth_quadratic()
+    extended = newton_extend(s.values[:12], 12, 26)
+    evalues = {evar(p): e_expansion(p, 4, 12, True).evaluate({svar(q): extended[q - 1] for q in range(1, 27)})
+               for p in range(1, 27)}
+    second = -quad.c1.evaluate(evalues) / quad.c2.evaluate(evalues) - s[6]
+    at_second = {**evalues, svar(6): second}
+    dual = [Fraction(0), *(expr.evaluate(at_second) for expr in tables.low.values()), second,
+            *(expr.evaluate(at_second) for expr in tables.high.values())]
+    dual_extended = newton_extend(dual, 12, 26)
+    dual_values = {svar(q): dual_extended[q - 1] for q in range(1, 27)}
+    return [evalues[evar(p)] - e_expansion(p, 4, 12, True).evaluate(dual_values)
+            for p in residual_equation_indices()]
+
+
+def test_residuals_match_a_fraction_oracle():
+    rng = random.Random(31337)
+    rational_sets = [[Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(12)] for _ in range(20)]
+    vectors = [centred_power_sums(a, 12) for a in (
+        COLLISION_FIRST,
+        COLLISION_SECOND,
+        parse_multiset("-1 0^10 1"),
+        [Fraction(x, 1000003) for x in COLLISION_FIRST],
+        [Fraction(x, 1000003) for x in DOUBLE_ROOT_SET],
+        *rational_sets,
+    )]
+    # power sums built directly from Fractions, not from a multiset
+    vectors.append(PowerSumVector((Fraction(0),) + tuple(
+        Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 7, 1093, 2**5 * 3**7, 1000003])) for _ in range(11)
+    )))
+    for s in vectors:
+        assert residual_relations(s) == fraction_residuals(s)
+
+
+def test_residuals_are_weighted_homogeneous():
+    # scaling a set by t scales S_p, E_p and so residual p by t**p
+    rng = random.Random(4242)
+    for a in random_centered_sets(8080, 4):
+        t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+        base = residual_relations(power_sum_vector(a, 12))
+        scaled = residual_relations(power_sum_vector(affine_image(a, t, 0), 12))
+        assert scaled == [t**p * r for p, r in zip(residual_equation_indices(), base)]
+        assert any(base)
 
 
 def test_residual_preconditions():

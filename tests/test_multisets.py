@@ -32,6 +32,23 @@ def test_parse_literals():
     assert parse_multiset("1/2^3") == (Fraction(1, 2),) * 3
 
 
+def test_parse_sorts_mixed_unsorted_runs():
+    parsed = parse_multiset("3^2 -1 3 1/2^3")
+    assert parsed == (-1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 3, 3, 3)
+    assert all(type(x) is Fraction for x in parsed)
+    # one shared object per run
+    zeros = parse_multiset("0^1000")
+    assert all(x is zeros[0] for x in zeros)
+
+
+def test_as_multiset_sorts_runs():
+    got = as_multiset([3, Fraction(6, 2), 1, Fraction(1, 2), Fraction(1, 2), -1, 3])
+    assert got == (-1, Fraction(1, 2), Fraction(1, 2), 1, 3, 3, 3)
+    assert all(type(x) is Fraction for x in got)
+    with pytest.raises(ValueError):
+        as_multiset([])
+
+
 def test_parse_rejects_bad_input():
     for bad in ("", "x", "1 2 3^", "^4", "1.5"):
         with pytest.raises(ValueError):
@@ -249,6 +266,13 @@ def test_power_sums_match_fraction_reference(data):
     assert list(ksums(a, k).power_sums(m).values) == [
         sum((s**p for s in sums), Fraction(0)) for p in range(1, m + 1)
     ]
+
+
+def test_power_sums_over_repeated_sums():
+    # 495 4-sums of the known set take few distinct values
+    sums = ksums(COLLISION_FIRST, 4)
+    assert len(set(sums.numerators)) < 100
+    assert sums.power_sums(14) == power_sum_vector(sums.sums, 14)
 
 
 def test_equal_sums_from_different_denominators():

@@ -17,6 +17,7 @@ from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import as_multiset, power_sum
 from ksumlab.symfunc import (
     MAX_EXPANSION_TERMS,
+    _newton,
     _partitions,
     _term_bound,
     BadRangeError,
@@ -144,6 +145,33 @@ def test_newton_extend_stays_exact_on_int_input():
         Fraction(139, 24), Fraction(197, 24), Fraction(559, 48),
         Fraction(2383, 144), Fraction(13535, 576), Fraction(9611, 288),
     ]
+
+
+def test_newton_on_ints_divides_exactly_or_raises():
+    # S_1 = 1, S_2 = 0 gives 2 e_2 = 1, which no int e_2 satisfies
+    with pytest.raises(ArithmeticError, match="not a multiple of 2"):
+        _newton([0, 1, 0], [1], 2, 2)
+    # the same power sums over the scale 2 (P_p = S_p * 2**p) divide exactly
+    s, e = [0, 2, 0], [1]
+    _newton(s, e, 2, 5)
+    assert e == [1, 2, 2] and all(type(v) is int for v in s + e)
+    expected = newton_extend([1, 0], 2, 5)
+    assert [Fraction(v, 2**p) for p, v in enumerate(s[1:], 1)] == expected
+    assert all(type(v) is Fraction for v in expected)
+
+
+def test_newton_on_scaled_ints_matches_newton_extend():
+    # with every prime up to n in the scale, the divisions are exact for
+    # any rational power sums, not only those of a multiset
+    rng = random.Random(1729)
+    n, scale = 6, 2 * 3 * 5
+    for _ in range(20):
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
+        den = prod(v.denominator for v in values)
+        ints = [0] + [int(v * (scale * den) ** p) for p, v in enumerate(values, 1)]
+        _newton(ints, [1], n, 14)
+        got = [Fraction(v, (scale * den) ** p) for p, v in enumerate(ints[1:], 1)]
+        assert got == newton_extend(values, n, 14)
 
 
 def test_elementary_matches_combination_products():
