@@ -30,7 +30,7 @@ from .elimination import (
     s7_linear_condition,
     solve_quadratic,
 )
-from .known import COLLISION_FIRST, COLLISION_PAIR, COLLISION_SECOND, DOUBLE_ROOT_SET
+from .known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from .multisets import (
     BadKError,
     NumberMultiset,
@@ -55,17 +55,13 @@ from .search import (
 )
 from .symfunc import (
     BadRangeError,
-    TooManyPartsError,
-    composition,
     e_expansion,
     e_power_sums,
     elementary_in_power_sums,
     load_identity_fixtures,
     macmahon_reduce,
-    monomial_power_sum_direct,
     newton_extend,
     reduce_high_powers,
-    reduce_monomial,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +70,6 @@ __all__ = [
     "BadKError",
     "BadRangeError",
     "COLLISION_FIRST",
-    "COLLISION_PAIR",
     "COLLISION_SECOND",
     "CollisionRecord",
     "DOUBLE_ROOT_SET",
@@ -87,7 +82,6 @@ __all__ = [
     "QuadraticInS6",
     "SearchSpec",
     "SumMultiset",
-    "TooManyPartsError",
     "UnboundVariableError",
     "Var",
     "affine_image",
@@ -96,7 +90,6 @@ __all__ = [
     "centred_power_sums",
     "coefficient_report",
     "collision_class_key",
-    "composition",
     "dedupe_records",
     "e_expansion",
     "e_power_sums",
@@ -108,14 +101,12 @@ __all__ = [
     "ksums",
     "load_identity_fixtures",
     "macmahon_reduce",
-    "monomial_power_sum_direct",
     "newton_extend",
     "parse_multiset",
     "power_sum",
     "power_sum_vector",
     "quadratic_at",
     "reduce_high_powers",
-    "reduce_monomial",
     "residual_equation_indices",
     "residual_relations",
     "second_root",

@@ -23,6 +23,7 @@ from .algebra import Monomial, Poly, svar
 from .elimination import (
     K_SUM,
     N_ELEMENTS,
+    build_elimination_tables,
     coefficient_report,
     compare_coefficients,
     fourteenth_quadratic,
@@ -168,7 +169,8 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
         return OK
 
     if args.second_root is not None:
-        print(f"S6'' = {second_root(_prepared_power_sums(args.second_root, 'second root'))}")
+        value = second_root(_prepared_power_sums(args.second_root, "second root"))
+        print(f"S{build_elimination_tables().free}'' = {value}")
         return OK
     values = residual_relations(_prepared_power_sums(args.residuals, "residuals"))
     all_zero = True

@@ -215,15 +215,27 @@ def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fractio
     return -quad.c1.evaluate(evalues) / c2 - s_free
 
 
+def _integer_root(x: int, w: int) -> int:
+    """The w-th root of x >= 1, rounded down, by Newton's method on ints."""
+    y = 1 << -(-x.bit_length() // w)  # above the root, as x < 2**bit_length
+    while True:
+        z = ((w - 1) * y + x // y ** (w - 1)) // w
+        if z >= y:
+            return y
+        y = z
+
+
 def _over_weighted_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers ``nums`` and a scale D with ``values[i] == nums[i] / D**(i+1)``.
 
     D is the product of the primes up to n times a scale W such that
     ``den(values[i])`` divides ``W**(i+1)``.  W holds each prime below 100 to
-    the least exponent that does this.  What is left of a denominator enters
-    W whole, less its gcd with the power of W formed so far; that is the
-    least exponent too when the leftover is one prime to a power of at most
-    i+1.  The lcm of the denominators is also such a W, but a far larger one.
+    the least exponent that does this.  What is left of a denominator, less
+    its gcd with the power of W formed so far, enters W as its exact
+    (i+1)-th root when it is a perfect (i+1)-th power and whole otherwise;
+    that is the least exponent too when the leftover is one prime to the
+    power 1 or i+1.  The lcm of the denominators is also such a W, but a far
+    larger one.
     """
     exps: dict[int, int] = {}
     rest = 1
@@ -237,7 +249,9 @@ def _over_weighted_denominator(values: Sequence[Fraction]) -> tuple[list[int], i
                     e += 1
                 exps[q] = max(exps.get(q, 0), -(-e // weight))
         if d > 1:
-            rest *= d // gcd(d, rest**weight)
+            left = d // gcd(d, rest**weight)
+            root = _integer_root(left, weight)
+            rest *= root if root**weight == left else left
     scale = _NEWTON_PRIMES * rest * prod(q**e for q, e in exps.items())
     nums, power = [], 1
     for v in values:

@@ -5,7 +5,7 @@ one shared denominator and bucketed by one exact int each, their k-sum
 histogram packed by Kronecker substitution (see ``_chunk_pairs``); every
 pair sharing a bucket becomes a collision record.  Only the members of a
 shared bucket are keyed again, to check the bucket, and turned into
-Fractions; one sorted k-sum multiset per bucket orders its records.
+Fractions; the runs of one sorted k-sum multiset per bucket order its records.
 Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
@@ -31,7 +31,7 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import Iterator, Sequence
 
@@ -234,6 +234,17 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
     return done, intact > 0
 
 
+def _runs_key(ascending: Sequence[int], scale: int) -> tuple[tuple[int, int], ...]:
+    """``(v * scale, -count)`` for each run of equal values in ``ascending``.
+
+    Ascending sequences of one length sort by it as they sort themselves: at
+    the first run where two differ, the lesser value comes first in both, and
+    of two equal values the longer run, as its sequence then holds that value
+    where the other holds a larger one.
+    """
+    return tuple((v * scale, -sum(1 for _ in run)) for v, run in groupby(ascending))
+
+
 def find_collisions(
     spec: SearchSpec, workers: int = 1, checkpoint: str | None = None
 ) -> list[CollisionRecord]:
@@ -302,7 +313,7 @@ def find_collisions(
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
         sums = ksums(members[0], spec.k, den)
-        buckets.append((tuple(v * (den // sums.denominator) for v in sums.numerators), sorted(members)))
+        buckets.append((_runs_key(sums.numerators, den // sums.denominator), sorted(members)))
     return dedupe_records([
         CollisionRecord(x, y, spec.k)
         for _, members in sorted(buckets)

@@ -1,15 +1,13 @@
 """Symmetric-function machinery over exact rationals.
 
-Three layers, each checked against the one below by direct evaluation:
+Two layers, each checked against direct evaluation:
 
-* monomial power sums ``S_{p1,...,pj}`` (sums over ordered tuples of
-  distinct indices) and their recursive rewriting into polynomials in the
-  plain power sums S_1, S_2, ...;
 * reduction of S_m for m > n to a polynomial in S_1..S_n, valid for every
   n-element multiset, derived from Newton's identities through the
   elementary symmetric functions vanishing beyond degree n;
 * the expansion of E_p, the p-th power sum of the k-sum multiset, as a
-  polynomial identity in S_1..S_p.
+  polynomial identity in S_1..S_p, by Newton's identities for the
+  shifted exponentials e^{t x_i} - 1.
 
 All symbolic results are memoized; they are pure values and safe to share.
 """
@@ -18,82 +16,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Sequence
 
-from .algebra import Poly, RationalLike, Var, over_common_denominator, svar
+from .algebra import Poly, RationalLike, svar
 from .multisets import NumberMultiset, PowerSumVector, ksums
 
-Composition = tuple[int, ...]
-
 # e_expansion is refused before any work when _term_bound exceeds this.
-# Cold, admitted requests take at most about 1.5 s (Python 3.11, 2 vCPUs;
+# Cold, admitted requests take at most about 0.5 s (Python 3.11, 2 vCPUs;
 # e.g. p = 53 at k = 5, p = 20 at k >= 16); p <= 26 at k = 4, the (12, 4)
-# identities, has a bound of at most 2347 and takes under 0.02 s, while
-# p = 30 at k = 15, bound 12766725, ran for more than 20 s.
+# identities, has a bound of at most 2347, while p = 30 at k = 15, bound
+# 12766725, is refused (unguarded, it takes about 3 s).
 MAX_EXPANSION_TERMS = 200_000
-
-
-class TooManyPartsError(ValueError):
-    """A monomial power sum with more parts than the multiset has elements."""
 
 
 class BadRangeError(ValueError):
     """An index argument outside its documented range."""
-
-
-def composition(parts: Iterable[int]) -> Composition:
-    """Canonical composition: zero parts dropped, remainder sorted descending."""
-    kept = sorted((p for p in parts if p != 0), reverse=True)
-    if any(p < 0 for p in kept):
-        raise ValueError(f"negative part in {tuple(parts)}")
-    if not kept:
-        raise ValueError("composition needs at least one positive part")
-    return tuple(kept)
-
-
-def monomial_power_sum_direct(a: NumberMultiset, parts: Iterable[int]) -> Fraction:
-    """Sum over all ordered tuples of distinct indices of the prescribed powers.
-
-    The brute-force ground truth that anchors the symbolic layer.  It runs
-    over ints: the elements are scaled by the lcm of their denominators,
-    so the sum carries that scale to the power ``sum(parts)``.
-    """
-    c = composition(parts)
-    if len(c) > len(a):
-        raise TooManyPartsError(f"{len(c)} parts but only {len(a)} elements")
-    ints, scale = over_common_denominator(a)
-    columns = [[x**exp for x in ints] for exp in c]
-    total = 0
-    for chosen in permutations(range(len(ints)), len(c)):
-        term = 1
-        for column, i in zip(columns, chosen):
-            term *= column[i]
-        total += term
-    return Fraction(total, scale ** sum(c))
-
-
-@lru_cache(maxsize=None)
-def _reduce_monomial(c: Composition) -> Poly:
-    if len(c) == 1:
-        return Poly.variable(svar(c[0]))
-    head, last = c[:-1], c[-1]
-    result = _reduce_monomial(head) * Poly.variable(svar(last))
-    for t in range(len(head)):
-        merged = composition(head[:t] + (head[t] + last,) + head[t + 1:])
-        result = result - _reduce_monomial(merged)
-    return result
-
-
-def reduce_monomial(parts: Iterable[int]) -> Poly:
-    """Rewrite a monomial power sum as a polynomial in S_1, S_2, ...
-
-    Repeatedly splits off the smallest part: the product with the matching
-    plain power sum overcounts exactly by the sums where two indices
-    coincide, one merged term per remaining part.
-    """
-    return _reduce_monomial(composition(parts))
 
 
 def _exact_quotient(total, j: int):
@@ -182,42 +120,47 @@ def newton_extend(powersums: Sequence[RationalLike], n: int, upto: int) -> list[
     return s[1:upto + 1]
 
 
-def _partitions(total: int, max_parts: int, max_value: int) -> Iterable[Composition]:
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(total, max_value), 0, -1):
-        for rest in _partitions(total - first, max_parts - 1, first):
-            yield (first, *rest)
+def _surjections(m: int, r: int) -> int:
+    """r! S(m, r), the number of maps from m items onto r, by inclusion-exclusion."""
+    return sum((-1) ** (r - i) * comb(r, i) * i**m for i in range(r + 1))
 
 
-def _multinomial(total: int, parts: Composition) -> int:
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
+@lru_cache(maxsize=None)
+def _onto_sums(p: int, j: int, set_s1_zero: bool) -> Poly:
+    """p! [t^p] e_j(z_1, ..., z_n) with z_i = e^{t x_i} - 1, in S_1..S_p.
 
-
-def _multiplicity_factorial(parts: Composition) -> int:
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    result = 1
-    for c in counts.values():
-        result *= factorial(c)
-    return result
+    The part of E_p that comes from j-subsets whose every index carries a
+    positive power; it depends on neither n nor k.  Newton's identities
+    j e_j = sum_r (-1)^(r-1) P_r e_{j-r} for the z_i, where t^m in
+    P_r = sum_i z_i^r has the coefficient r! S(m, r) S_m / m!, give it
+    coefficient by coefficient, from e_0 = 1.  It is zero for p < j, as
+    are the terms with p - m < j - r; of those with r = j only m = p
+    remains, the S_p term.
+    """
+    if p < j or (set_s1_zero and p == 1):
+        return Poly.zero()
+    total = Poly.variable(svar(p)) * ((-1) ** (j - 1) * _surjections(p, j))
+    if j == 1:
+        return total  # the terms below have 1 <= r <= j - 1
+    for m in range(2 if set_s1_zero else 1, p):
+        inner = Poly.zero()
+        for r in range(max(1, j - p + m), min(j - 1, m) + 1):
+            coeff = (-1) ** (r - 1) * comb(p, m) * _surjections(m, r)
+            inner = inner + _onto_sums(p - m, j - r, set_s1_zero) * coeff
+        total = total + inner * Poly.variable(svar(m))
+    return total / j
 
 
 def _term_bound(p: int, k: int) -> int:
-    """A bound on the terms e_expansion(p, k, ...) rewrites, exact and cheap.
+    """The admission rule of e_expansion, exact and cheap.
 
-    Each partition of p into j <= k parts is rewritten by reduce_monomial
-    into one term per distinct coarsening of its parts, which is at most
-    the Bell number B_j (set partitions of the parts) and at most the
-    number of partitions of p into at most j parts.  The bound sums the
-    lesser of the two over the partitions.
+    It is the term count of the partition method that e_expansion used
+    before the recurrence, kept so that the same requests are refused:
+    each partition of p into j <= k parts was rewritten into one term per
+    distinct coarsening of its parts, which is at most the Bell number B_j
+    (set partitions of the parts) and at most the number of partitions of
+    p into at most j parts.  The bound sums the lesser of the two over the
+    partitions.
     """
     top = min(k, p)
     exact = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(p)]  # [m][j]: m in exactly j parts
@@ -238,12 +181,13 @@ def _term_bound(p: int, k: int) -> int:
 def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
     """E_p, the p-th power sum of the k-sum multiset, as a polynomial in S_1..S_p.
 
-    Expanding the p-th power of a k-term sum over all ordered index tuples
-    groups by the partition of p carried by the nonzero exponents; a
-    partition with j distinct index slots occurs alongside C(n-j, k-j)
-    choices for the unused slots.  The monomial power sums are then rewritten
-    via reduce_monomial.  High indices S_m (m > n) are left as-is; callers
-    that need an identity in S_1..S_n apply reduce_high_powers.
+    E_p is p! [t^p] of the sum over k-subsets K of the product of the
+    1 + z_i over K, with z_i = e^{t x_i} - 1.  Each j-subset whose z_i are
+    all taken lies in C(n-j, k-j) of the K, so E_p is the sum over j of
+    C(n-j, k-j) _onto_sums(p, j), and its S_p coefficient is the sum of
+    (-1)^(j-1) (j-1)! S(p, j) C(n-j, k-j).  High indices S_m (m > n) are
+    left as-is; callers that need an identity in S_1..S_n apply
+    reduce_high_powers.
     """
     if p < 1:
         raise BadRangeError(f"power must be >= 1, got {p}")
@@ -257,15 +201,8 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
             f" {MAX_EXPANSION_TERMS} allowed; lower p or k"
         )
     total = Poly.zero()
-    for partition in _partitions(p, k, p):
-        j = len(partition)
-        coeff = Fraction(
-            _multinomial(p, partition) * comb(n - j, k - j),
-            _multiplicity_factorial(partition),
-        )
-        total = total + reduce_monomial(partition) * coeff
-    if set_s1_zero:
-        total = total.substitute({svar(1): Poly.zero()})
+    for j in range(1, min(k, p) + 1):
+        total = total + _onto_sums(p, j, set_s1_zero) * comb(n - j, k - j)
     return total
 
 

@@ -266,6 +266,24 @@ def test_weighted_scale_examples():
     assert elimination._over_weighted_denominator([Fraction(1, 101), Fraction(2, 101**2)])[1] == 101 * d
 
 
+def test_weighted_scale_takes_the_root_of_a_perfect_power():
+    d = 2 * 3 * 5 * 7 * 11
+    # S_2 = 2/1000003^2 enters 1000003 once: 1000003^2 is a square at weight 2
+    values = centred_power_sums([Fraction(x, 1000003) for x in DOUBLE_ROOT_SET], 12).values
+    assert elimination._over_weighted_denominator(values)[1] == d * 1000003
+    # a leftover that is no perfect power at its weight still enters whole
+    assert elimination._over_weighted_denominator([Fraction(0), Fraction(0), Fraction(1, 101**2)])[1] == 101**2 * d
+
+
+def test_integer_root_rounds_down():
+    rng = random.Random(2310)
+    cases = [(1, 1), (1, 5), (8, 3), (9, 3), (10**40, 4), (10**40 - 1, 4)]
+    cases += [(rng.randint(1, 10**rng.randint(1, 60)), rng.randint(1, 26)) for _ in range(300)]
+    for x, w in cases:
+        root = elimination._integer_root(x, w)
+        assert root**w <= x < (root + 1) ** w, (x, w)
+
+
 def test_weighted_scale_fits_every_weight():
     rng = random.Random(606)
     for _ in range(50):

@@ -102,6 +102,15 @@ def test_determinism_across_workers():
     assert find_collisions(spec, workers=1) == find_collisions(spec, workers=4)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda size: st.lists(
+    st.lists(st.integers(-4, 4), min_size=size, max_size=size).map(lambda v: tuple(sorted(v))),
+    min_size=2, max_size=10)), st.integers(1, 6))
+def test_runs_key_sorts_like_the_sequences(sequences, scale):
+    # find_collisions orders buckets by it in place of their whole k-sum tuples
+    assert sorted(sequences, key=lambda v: search._runs_key(v, scale)) == sorted(sequences)
+
+
 def test_dedupe_collapses_affine_copies():
     deduped = find_collisions(SearchSpec(n=4, k=2, bound=7))
     keys = [collision_class_key(r.first, r.second) for r in deduped]

@@ -1,11 +1,11 @@
-"""Symmetric-function machinery: monomial power sums, reductions, E_p."""
+"""Symmetric-function machinery: Newton's identities, reductions, E_p."""
 
 import hashlib
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,20 +18,16 @@ from ksumlab.multisets import as_multiset, power_sum
 from ksumlab.symfunc import (
     MAX_EXPANSION_TERMS,
     _newton,
-    _partitions,
+    _onto_sums,
     _term_bound,
     BadRangeError,
-    TooManyPartsError,
-    composition,
     e_expansion,
     e_power_sums,
     elementary_in_power_sums,
     load_identity_fixtures,
     macmahon_reduce,
-    monomial_power_sum_direct,
     newton_extend,
     reduce_high_powers,
-    reduce_monomial,
 )
 
 
@@ -39,49 +35,56 @@ def svalues(a, upto):
     return {svar(p): power_sum(a, p) for p in range(1, upto + 1)}
 
 
-def test_composition_canonical_form():
-    assert composition([1, 3, 2]) == (3, 2, 1)
-    assert composition([2, 0, 1, 0]) == (2, 1)
-    with pytest.raises(ValueError):
-        composition([0, 0])
-    with pytest.raises(ValueError):
-        composition([-1, 2])
+def onto_sums_direct(a, p, j):
+    """p! [t^p] e_j(e^{t x_1} - 1, ...) by inclusion-exclusion over the
+    j-subsets J and their subsets T: sum of (-1)^(j - |T|) (sum_T x)^p."""
+    total = 0
+    for chosen in combinations(a, j):
+        for size in range(j + 1):
+            for sub in combinations(chosen, size):
+                total += (-1) ** (j - size) * sum(sub) ** p
+    return total
 
 
 def test_partitions_max_parts():
+    # the test-local generator behind the term-bound formula below
     assert list(_partitions(4, 2, 4)) == [(4,), (3, 1), (2, 2)]
     assert list(_partitions(3, 3, 3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
 def test_direct_single_part_is_power_sum():
     a = as_multiset([2, -3, 5, 5])
-    for p in range(1, 5):
-        assert monomial_power_sum_direct(a, (p,)) == power_sum(a, p)
+    for p in range(1, 7):
+        assert onto_sums_direct(a, p, 1) == power_sum(a, p)
+        assert _onto_sums(p, 1, False) == Poly.variable(svar(p))
+        assert _onto_sums(p, 1, True) == (Poly.variable(svar(p)) if p > 1 else Poly.zero())
 
 
 def test_direct_hand_enumerations():
-    assert monomial_power_sum_direct(as_multiset([1, 2]), (1, 1)) == 4
-    # ordered pairs of distinct indices over {1,2,3} with powers (2,1):
+    # J = {1, 2}: (1 + 2)^2 - 1^2 - 2^2 = 4
+    assert onto_sums_direct([1, 2], 2, 2) == 4
+    assert _onto_sums(2, 2, False).evaluate(svalues(as_multiset([1, 2]), 2)) == 4
+    # 3 times the ordered pairs of distinct indices over {1,2,3} with powers (2,1):
     # 1*2 + 1*3 + 4*1 + 4*3 + 9*1 + 9*2 = 48
-    assert monomial_power_sum_direct(as_multiset([1, 2, 3]), (2, 1)) == 48
+    assert onto_sums_direct([1, 2, 3], 3, 2) == 3 * 48
+    assert _onto_sums(3, 2, False).evaluate(svalues(as_multiset([1, 2, 3]), 3)) == 3 * 48
 
 
 def test_direct_too_many_parts():
-    with pytest.raises(TooManyPartsError):
-        monomial_power_sum_direct(as_multiset([1, 2]), (1, 1, 1))
+    # a set of fewer than j elements has no j-subset, and the polynomial,
+    # the same for every n, vanishes on its power sums
+    a = as_multiset([2, -3])
+    for p in range(1, 8):
+        assert onto_sums_direct(a, p, 3) == 0
+        assert _onto_sums(p, 3, False).evaluate(svalues(a, p)) == 0
 
 
-def test_reduce_monomial_base_cases():
-    assert reduce_monomial((1, 1)) == Poly.parse("S1^2 - S2")
-    assert reduce_monomial((2, 1)) == Poly.parse("S1*S2 - S3")
-    assert reduce_monomial((1, 1, 1)) == Poly.parse("S1^3 - 3*S1*S2 + 2*S3")
-
-
-def test_reduce_monomial_order_invariant():
-    assert reduce_monomial((1, 2)) == reduce_monomial((2, 1))
-    assert reduce_monomial((3, 1, 2)) == reduce_monomial((1, 2, 3))
-    a = as_multiset([2, 5, -1, 3])
-    assert monomial_power_sum_direct(a, (1, 2)) == monomial_power_sum_direct(a, (2, 1))
+def test_onto_sums_base_cases():
+    assert _onto_sums(2, 2, False) == Poly.parse("S1^2 - S2")
+    assert _onto_sums(3, 2, False) == Poly.parse("3*S1*S2 - 3*S3")
+    assert _onto_sums(3, 3, False) == Poly.parse("S1^3 - 3*S1*S2 + 2*S3")
+    assert _onto_sums(4, 2, True) == Poly.parse("3*S2^2 - 7*S4")  # 3 S4 from powers (2, 2), 4 S4 from (3, 1)
+    assert _onto_sums(2, 3, False) == Poly.zero()  # fewer powers than indices
 
 
 small_sets = st.lists(
@@ -91,12 +94,16 @@ small_sets = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_reduce_monomial_matches_direct(data):
+def test_onto_sums_matches_direct(data):
     a = data.draw(small_sets)
+    set_s1_zero = data.draw(st.booleans())
+    if set_s1_zero:
+        mean = sum(a) / len(a)
+        a = [x - mean for x in a]
     j = data.draw(st.integers(1, min(3, len(a))))
-    parts = tuple(data.draw(st.integers(1, 4)) for _ in range(j))
-    value = reduce_monomial(parts).evaluate(svalues(a, sum(parts)))
-    assert value == monomial_power_sum_direct(a, parts)
+    p = data.draw(st.integers(1, 8))
+    value = _onto_sums(p, j, set_s1_zero).evaluate({svar(q): sum(x**q for x in a) for q in range(1, p + 1)})
+    assert value == onto_sums_direct(a, p, j)
 
 
 def test_macmahon_base_cases():
@@ -197,6 +204,49 @@ def test_e_expansion_displayed_examples():
     assert e14.coefficient({svar(14): 1}) == Fraction(-48517440)
 
 
+def test_e_expansion_matches_brute_force_k_sums():
+    # every k <= n <= 8 and p <= 10, against sums over itertools.combinations;
+    # the centred copy of each set has S_1 = 0 for set_s1_zero
+    rng = random.Random(4548)
+    for n in range(1, 9):
+        raw = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        centred = [x - sum(raw) / n for x in raw]
+        for set_s1_zero, a in ((False, raw), (True, centred)):
+            env = {svar(p): sum(x**p for x in a) for p in range(1, 11)}
+            for k in range(1, n + 1):
+                sums = [sum(c) for c in combinations(a, k)]
+                for p in range(1, 11):
+                    direct = sum(s**p for s in sums)
+                    assert e_expansion(p, k, n, set_s1_zero).evaluate(env) == direct, (a, k, p)
+
+
+def stirling_triangle(top):
+    """Stirling numbers of the second kind: row m holds S(m, 0..top)."""
+    rows = [[1] + [0] * top]
+    for m in range(1, top + 1):
+        prev = rows[-1]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, top + 1)])
+    return rows
+
+
+def test_s_p_coefficient_has_the_closed_form():
+    # c(p; n, k) = sum_j (-1)^(j-1) (j-1)! S(p, j) C(n-j, k-j); the paper's
+    # refutation is its zero at (n, k, p) = (12, 4, 6)
+    stirling = stirling_triangle(10)
+    zeros, count = set(), 0
+    for n in range(1, 31):
+        for k in range(1, min(6, n) + 1):
+            for p in range(2, 11):  # E_1 has no S_1 term once S_1 = 0
+                closed = sum((-1) ** (j - 1) * factorial(j - 1) * stirling[p][j] * comb(n - j, k - j)
+                             for j in range(1, k + 1))
+                assert e_expansion(p, k, n, True).coefficient({svar(p): 1}) == closed, (n, k, p)
+                count += 1
+                if closed == 0:
+                    zeros.add((n, k, p))
+    assert count >= 1000
+    assert {(12, 4, 6), (27, 3, 5), (27, 3, 9), (8, 2, 4)} <= zeros
+
+
 def test_e_expansion_full_table_regression():
     table = shipped_identities()
     assert sorted(table) == list(range(1, 15))
@@ -223,6 +273,18 @@ def test_e_expansion_refuses_costly_requests_before_any_work():
         e_expansion(65, 64, 64, False)
 
 
+def _partitions(total, max_parts, max_value):
+    """Partitions of total into at most max_parts parts of at most max_value."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(total, max_value), 0, -1):
+        for rest in _partitions(total - first, max_parts - 1, first):
+            yield (first, *rest)
+
+
 def _bell(j):
     """The j-th Bell number, read off the Bell triangle."""
     row = [1]
@@ -239,7 +301,7 @@ def test_term_bound_sums_a_bound_over_the_partitions(p, k):
     parts = list(_partitions(p, k, p))
     lengths = [len(q) for q in _partitions(p, p, p)]  # of every partition of p
     assert _term_bound(p, k) == sum(min(_bell(len(q)), sum(j <= len(q) for j in lengths)) for q in parts)
-    assert sum(len(reduce_monomial(q)) for q in parts) <= _term_bound(p, k)
+    assert len(e_expansion(p, k, k, False)) <= _term_bound(p, k)
 
 
 def test_e_expansion_matches_oracle_on_random_set():
