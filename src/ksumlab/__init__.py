@@ -61,7 +61,6 @@ from .symfunc import (
     load_identity_fixtures,
     macmahon_reduce,
     newton_extend,
-    reduce_high_powers,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +105,6 @@ __all__ = [
     "power_sum",
     "power_sum_vector",
     "quadratic_at",
-    "reduce_high_powers",
     "residual_equation_indices",
     "residual_relations",
     "second_root",

@@ -2,13 +2,14 @@
 
 The layout is derived from the identities E_p = F_p(S_2..S_p), S_1 = 0.
 Equations 2..n are solved in turn for their pivot S_p, except the one with
-no S_p term (6), which leaves S_free unknown.  Substituting the solutions
-turns each reduced equation above n into a polynomial in S_free.  The
-first of degree two (14) is a quadratic whose roots are the S_free values
-of the (at most two) multisets realizing the E-values; the first of degree
-one (13) fixes S_7 when both roots are solutions.  The residual relations,
-the other equations up to PMAX (26), decide whether the second root extends
-to a full consistent solution.
+no S_p term (6), which leaves S_free unknown.  The solved S_1..S_n, in
+S_free and the E's, are extended past n by Newton's identities for n
+elements; substituted into an equation above n, they turn it into a
+polynomial in S_free.  The first of degree two (14) is a quadratic whose
+roots are the S_free values of the (at most two) multisets realizing the
+E-values; the first of degree one (13) fixes S_7 when both roots are
+solutions.  The residual relations, the other equations up to PMAX (26),
+decide whether the second root extends to a full consistent solution.
 
 All symbolic construction happens once and is cached; numeric queries
 evaluate the cached polynomials.
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import Monomial, Poly, Var, evar, svar
 from .multisets import PowerSumVector
-from .symfunc import BadRangeError, _newton, e_expansion, reduce_high_powers
+from .symfunc import BadRangeError, _newton, e_expansion
 
 N_ELEMENTS = 12
 K_SUM = 4
@@ -52,24 +53,12 @@ def identity_poly(p: int) -> Poly:
     return e_expansion(p, K_SUM, N_ELEMENTS, True)
 
 
-@lru_cache(maxsize=None)
-def reduced_identity_poly(p: int) -> Poly:
-    """identity_poly with every S_m, m > n, reduced to S_2..S_n.
-
-    The reduction of a high power sum is generic in S_1, so the S_1 = 0
-    specialization must be reapplied afterwards.
-    """
-    reduced = reduce_high_powers(identity_poly(p), N_ELEMENTS)
-    return reduced.substitute({svar(1): Poly.zero()})
-
-
 @dataclass(frozen=True)
 class EliminationTables:
-    """Solved expressions: low[p] gives S_p in E-variables for p < free;
-    high[p] gives S_p in S_free and E-variables for free < p <= n."""
+    """Solved power sums: power_sums[p - 1] is S_p for p = 1..n, in S_free
+    and the E-variables; S_1 = 0 and S_free is its own variable."""
 
-    low: dict[int, Poly]
-    high: dict[int, Poly]
+    power_sums: tuple[Poly, ...]
     free: int
 
 
@@ -82,47 +71,53 @@ def _solve_linear(poly: Poly, var: Var, label: str) -> Poly:
     return -parts.get(0, Poly.zero()) / coeff.constant_term()
 
 
+def _bindings(power_sums: Sequence[Poly]) -> dict[Var, Poly]:
+    """S_p bound to ``power_sums[p - 1]``."""
+    return {svar(p): expr for p, expr in enumerate(power_sums, 1)}
+
+
 @lru_cache(maxsize=None)
 def build_elimination_tables() -> EliminationTables:
     free: int | None = None
-    low: dict[int, Poly] = {}
-    high: dict[int, Poly] = {}
-    bindings: dict[Var, Poly] = {}
+    power_sums = [Poly.zero()]
     for p in range(2, N_ELEMENTS + 1):
         equation = identity_poly(p) - Poly.variable(evar(p))
         if svar(p) not in equation.variables():
             if free is not None:
                 raise NonLinearPivotError(f"equations {free} and {p} both have no term in their pivot")
             free = p
+            power_sums.append(Poly.variable(svar(p)))
             continue
-        expr = _solve_linear(equation, svar(p), f"equation {p}").substitute(bindings)
+        expr = _solve_linear(equation, svar(p), f"equation {p}").substitute(_bindings(power_sums))
         extra = {v for v in expr.variables() if v.family == "S" and v.index != free}
         if extra:
             raise NonLinearPivotError(f"entry {p} depends on {sorted(map(str, extra))}")
-        (low if free is None else high)[p] = bindings[svar(p)] = expr
-    return EliminationTables(low=low, high=high, free=free)
+        power_sums.append(expr)
+    return EliminationTables(power_sums=tuple(power_sums), free=free)
 
 
 @lru_cache(maxsize=None)
 def _powers_of_free(p: int) -> dict[int, Poly]:
-    """Reduced equation p with the tables substituted, split by powers of S_free."""
+    """Equation p with S_1..S_p substituted, the tables extended by Newton's
+    identities, split by powers of S_free."""
     tables = build_elimination_tables()
-    bindings = {svar(q): expr for q, expr in (*tables.low.items(), *tables.high.items())}
-    return reduced_identity_poly(p).substitute(bindings).collect(svar(tables.free))
+    s = [None, *tables.power_sums]
+    _newton(s, [Poly.const(1)], N_ELEMENTS, p)
+    return identity_poly(p).substitute(_bindings(s[1:])).collect(svar(tables.free))
 
 
 def _first_of_degree(degree: int) -> tuple[int, dict[int, Poly]]:
-    """The first reduced equation above n of this degree in S_free: its index and split."""
+    """The first equation above n of this degree in S_free: its index and split."""
     for p in range(N_ELEMENTS + 1, PMAX + 1):
         parts = _powers_of_free(p)
         if max(parts, default=0) == degree:
             return p, parts
-    raise NonLinearPivotError(f"no reduced equation up to {PMAX} has degree {degree} in S_free")
+    raise NonLinearPivotError(f"no equation from {N_ELEMENTS + 1} to {PMAX} has degree {degree} in S_free")
 
 
 @dataclass(frozen=True)
 class QuadraticInS6:
-    """Reduced equation ``index`` as c2*S_free^2 + c1*S_free + c0 = E_index over the E-variables."""
+    """Equation ``index`` as c2*S_free^2 + c1*S_free + c0 = E_index over the E-variables."""
 
     c2: Poly
     c1: Poly
@@ -302,7 +297,7 @@ def _s7_condition() -> Poly:
 
 
 def s7_linear_condition(s: PowerSumVector) -> Fraction:
-    """Predicted S_7 when the S_free coefficient of the first reduced equation
+    """Predicted S_7 when the S_free coefficient of the first equation above n
     linear in S_free (13) vanishes, as it must for two roots; that coefficient,
     written in S_2..S_7, is solved once for its highest power sum."""
     condition = _s7_condition()
@@ -343,9 +338,8 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     tables = build_elimination_tables()
     free = svar(tables.free)
     at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
-    dual = {1: Poly.zero(), **tables.low, tables.free: Poly.variable(free), **tables.high}
     indices = residual_equation_indices()
-    dual_evalues = _evalues([expr.evaluate(at_second) for expr in dual.values()], indices)
+    dual_evalues = _evalues([expr.evaluate(at_second) for expr in tables.power_sums], indices)
     return [evalues[evar(p)] - dual_evalues[evar(p)] for p in indices]
 
 

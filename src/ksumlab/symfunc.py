@@ -95,18 +95,6 @@ def macmahon_reduce(m: int, n: int) -> Poly:
     return s[m]
 
 
-def reduce_high_powers(poly: Poly, n: int) -> Poly:
-    """Substitute every S_m with m > n by its reduction to S_1..S_n."""
-    high = {
-        var: macmahon_reduce(var.index, n)
-        for var in poly.variables()
-        if var.family == "S" and var.index > n
-    }
-    if not high:
-        return poly
-    return poly.substitute(high)
-
-
 def newton_extend(powersums: Sequence[RationalLike], n: int, upto: int) -> list[Fraction]:
     """Extend numeric power sums S_1..S_n of an n-element multiset up to S_upto.
 
@@ -186,8 +174,7 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
     all taken lies in C(n-j, k-j) of the K, so E_p is the sum over j of
     C(n-j, k-j) _onto_sums(p, j), and its S_p coefficient is the sum of
     (-1)^(j-1) (j-1)! S(p, j) C(n-j, k-j).  High indices S_m (m > n) are
-    left as-is; callers that need an identity in S_1..S_n apply
-    reduce_high_powers.
+    left as-is; macmahon_reduce rewrites them in S_1..S_n.
     """
     if p < 1:
         raise BadRangeError(f"power must be >= 1, got {p}")

@@ -140,9 +140,10 @@ def test_expand_check_fixtures_reports_vanishing_pivot(capsys):
 
 
 def test_expand_rejects_bad_p(capsys):
-    code, _, err = run(capsys, "expand", "0")
-    assert code == 2
-    assert "error" in err
+    # e_expansion itself refuses p < 1; the CLI adds no check of its own
+    code, out, err = run(capsys, "expand", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "power must be >= 1, got 0" in err
 
 
 def test_expand_refuses_costly_requests_fast(capsys):

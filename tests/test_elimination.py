@@ -33,7 +33,7 @@ from ksumlab.multisets import (
     power_sum_vector,
     PowerSumVector,
 )
-from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums, newton_extend
+from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums, macmahon_reduce, newton_extend
 
 
 def random_centered_sets(seed, count, size=12):
@@ -52,8 +52,11 @@ def random_centered_sets(seed, count, size=12):
 def test_layout_is_derived_from_the_identities():
     tables = build_elimination_tables()
     assert tables.free == 6
-    assert list(tables.low) == [2, 3, 4, 5]
-    assert list(tables.high) == [7, 8, 9, 10, 11, 12]
+    assert len(tables.power_sums) == 12
+    assert tables.power_sums[0] == Poly.zero()
+    # S_7 has no S_6 term, the fact behind the S_7 condition
+    assert [p for p, expr in enumerate(tables.power_sums, 1) if svar(6) in expr.variables()] == [
+        6, 8, 9, 10, 11, 12]
     assert fourteenth_quadratic().index == 14
     assert residual_equation_indices() == (13,) + tuple(range(15, 27))
 
@@ -76,16 +79,16 @@ def test_a_second_equation_without_its_pivot_is_refused(monkeypatch):
 def test_low_table_closed_forms():
     tables = build_elimination_tables()
     for p, text in LOW_TABLE.items():
-        assert tables.low[p] == Poly.parse(text)
+        assert tables.power_sums[p - 1] == Poly.parse(text)
 
 
 def test_high_table_shape():
     tables = build_elimination_tables()
     for p in range(7, 13):
-        svars = {v for v in tables.high[p].variables() if v.family == "S"}
+        svars = {v for v in tables.power_sums[p - 1].variables() if v.family == "S"}
         assert svars <= {svar(6)}
     # spot value: the S_2*S_5 part of the seventh equation, in E-variables
-    assert tables.high[7].coefficient(Monomial({evar(2): 1, evar(5): 1})) == Fraction(
+    assert tables.power_sums[6].coefficient(Monomial({evar(2): 1, evar(5): 1})) == Fraction(
         -119, 1555200
     )
 
@@ -94,11 +97,22 @@ def test_tables_satisfy_their_equations():
     # plugging the solved expressions back into equation p must give E_p
     # identically (in S_6 and the E-variables)
     tables = build_elimination_tables()
-    bindings = {svar(p): expr for p, expr in tables.low.items()}
-    bindings.update({svar(p): expr for p, expr in tables.high.items()})
+    bindings = {svar(p): expr for p, expr in enumerate(tables.power_sums, 1)}
     for p in (2, 3, 4, 5, 7, 8, 9, 10, 11, 12):
         expanded = e_expansion(p, 4, 12, True).substitute(bindings)
         assert expanded == Poly.variable(evar(p)), f"equation {p}"
+
+
+def test_newton_closure_matches_the_generic_reduction():
+    # equations 13..26 built the other way: each S_m, m > 12, reduced
+    # generically in S_1..S_12, then S_1 = 0 set again, then the tables
+    tables = build_elimination_tables()
+    bindings = {svar(p): expr for p, expr in enumerate(tables.power_sums, 1)}
+    for p in range(13, 27):
+        equation = e_expansion(p, 4, 12, True)
+        reduced = equation.substitute({v: macmahon_reduce(v.index, 12) for v in equation.variables() if v.index > 12})
+        reduced = reduced.substitute({svar(1): Poly.zero()}).substitute(bindings)
+        assert reduced.collect(svar(6)) == elimination._powers_of_free(p), f"equation {p}"
 
 
 def test_quadratic_coefficients_exact():
@@ -157,12 +171,10 @@ def test_round_trip_and_vieta_on_random_sets():
     for a in random_centered_sets(90210, 20):
         evalues = e_power_sums(a, 4, 14)
         env = {evar(i): evalues[i] for i in range(1, 15)}
-        for p in range(2, 6):
-            assert tables.low[p].evaluate(env) == power_sum(a, p)
         s6 = power_sum(a, 6)
-        high_env = {**env, svar(6): s6}
-        for p in range(7, 13):
-            assert tables.high[p].evaluate(high_env) == power_sum(a, p)
+        env[svar(6)] = s6
+        for p in range(1, 13):
+            assert tables.power_sums[p - 1].evaluate(env) == power_sum(a, p)
         c2, c1, c0 = quadratic_at(evalues)
         assert c2 * s6 * s6 + c1 * s6 + c0 == 0
         s = power_sum_vector(a, 12)
@@ -304,9 +316,7 @@ def fraction_residuals(s):
                for p in range(1, 27)}
     second = -quad.c1.evaluate(evalues) / quad.c2.evaluate(evalues) - s[6]
     at_second = {**evalues, svar(6): second}
-    dual = [Fraction(0), *(expr.evaluate(at_second) for expr in tables.low.values()), second,
-            *(expr.evaluate(at_second) for expr in tables.high.values())]
-    dual_extended = newton_extend(dual, 12, 26)
+    dual_extended = newton_extend([expr.evaluate(at_second) for expr in tables.power_sums], 12, 26)
     dual_values = {svar(q): dual_extended[q - 1] for q in range(1, 27)}
     return [evalues[evar(p)] - e_expansion(p, 4, 12, True).evaluate(dual_values)
             for p in residual_equation_indices()]

@@ -27,7 +27,6 @@ from ksumlab.symfunc import (
     load_identity_fixtures,
     macmahon_reduce,
     newton_extend,
-    reduce_high_powers,
 )
 
 
@@ -126,14 +125,6 @@ def test_macmahon_evaluation_oracle():
             env = svalues(a, n)
             for m in range(n + 1, n + 7):
                 assert macmahon_reduce(m, n).evaluate(env) == power_sum(a, m)
-
-
-def test_reduce_high_powers():
-    assert reduce_high_powers(Poly.parse("S13"), 12) == macmahon_reduce(13, 12)
-    p = Poly.parse("2*S3 + S13*S2")
-    reduced = reduce_high_powers(p, 12)
-    assert reduced == Poly.parse("2*S3") + macmahon_reduce(13, 12) * Poly.parse("S2")
-    assert all(v.index <= 12 for v in reduced.variables())
 
 
 def test_newton_extend_matches_direct():
