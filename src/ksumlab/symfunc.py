@@ -23,10 +23,11 @@ from .algebra import Poly, RationalLike, svar
 from .multisets import NumberMultiset, PowerSumVector, ksums
 
 # e_expansion is refused before any work when _term_bound exceeds this.
-# Cold, admitted requests take at most about 0.5 s (Python 3.11, 2 vCPUs;
-# e.g. p = 53 at k = 5, p = 20 at k >= 16); p <= 26 at k = 4, the (12, 4)
-# identities, has a bound of at most 2347, while p = 30 at k = 15, bound
-# 12766725, is refused (unguarded, it takes about 3 s).
+# Cold, admitted requests take at most about 0.3 s (Python 3.11, 2 vCPUs;
+# the slowest are p = 20 at k >= 20, 0.2-0.3 s, and p = 53 at k = 5,
+# about 0.22 s); p <= 26 at k = 4, the (12, 4) identities, has a bound of
+# at most 2347, while p = 30 at k = 15, bound 12766725, is refused
+# (unguarded, it takes 2.0-2.5 s).
 MAX_EXPANSION_TERMS = 200_000
 
 
@@ -50,6 +51,8 @@ def _newton(s: list, e: list, n: int, upto: int) -> None:
     ``s[p]`` is S_p (``s[0]`` is never read) and ``e[j]`` is e_j, from e_0 = 1.
     Extends ``e`` in place to e_n by j e_j = S_1 e_{j-1} - S_2 e_{j-2} + ...,
     then ``s`` to S_upto by S_m = e_1 S_{m-1} - e_2 S_{m-2} + ... +- e_n S_{m-n}.
+    On Polys each alternating sum is one ``Poly.dot`` call; on ints and
+    Fractions it is a running total.
     On ints each division by j must be exact, or ArithmeticError is raised.
     It is when the S_p are power sums of integers, and when each S_p is a
     multiple of L**p for an L divisible by every prime up to n: e_j is then
@@ -58,6 +61,8 @@ def _newton(s: list, e: list, n: int, upto: int) -> None:
     """
 
     def alternating(a: list, b: list, top: int, count: int):
+        if isinstance(a[1], Poly):
+            return Poly.dot(((-1) ** (i - 1), a[i], b[top - i]) for i in range(1, count + 1))
         total = a[1] * b[top - 1]
         for i in range(2, count + 1):
             term = a[i] * b[top - i]
@@ -123,20 +128,18 @@ def _onto_sums(p: int, j: int, set_s1_zero: bool) -> Poly:
     P_r = sum_i z_i^r has the coefficient r! S(m, r) S_m / m!, give it
     coefficient by coefficient, from e_0 = 1.  It is zero for p < j, as
     are the terms with p - m < j - r; of those with r = j only m = p
-    remains, the S_p term.
+    remains, the S_p term.  All the terms go to one ``Poly.dot`` call.
     """
     if p < j or (set_s1_zero and p == 1):
         return Poly.zero()
-    total = Poly.variable(svar(p)) * ((-1) ** (j - 1) * _surjections(p, j))
-    if j == 1:
-        return total  # the terms below have 1 <= r <= j - 1
+    one = Poly.const(1)
+    terms = [((-1) ** (j - 1) * _surjections(p, j), Poly.variable(svar(p)), one)]
     for m in range(2 if set_s1_zero else 1, p):
-        inner = Poly.zero()
+        s_m = Poly.variable(svar(m))
         for r in range(max(1, j - p + m), min(j - 1, m) + 1):
             coeff = (-1) ** (r - 1) * comb(p, m) * _surjections(m, r)
-            inner = inner + _onto_sums(p - m, j - r, set_s1_zero) * coeff
-        total = total + inner * Poly.variable(svar(m))
-    return total / j
+            terms.append((coeff, _onto_sums(p - m, j - r, set_s1_zero), s_m))
+    return Poly.dot(terms) / j
 
 
 def _term_bound(p: int, k: int) -> int:
@@ -187,10 +190,8 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
             f"E{p} at k = {k} would rewrite up to {bound} terms, more than the"
             f" {MAX_EXPANSION_TERMS} allowed; lower p or k"
         )
-    total = Poly.zero()
-    for j in range(1, min(k, p) + 1):
-        total = total + _onto_sums(p, j, set_s1_zero) * comb(n - j, k - j)
-    return total
+    one = Poly.const(1)
+    return Poly.dot((comb(n - j, k - j), _onto_sums(p, j, set_s1_zero), one) for j in range(1, min(k, p) + 1))
 
 
 def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:

@@ -233,3 +233,113 @@ def test_evaluate_does_not_grow_the_heap():
     for _ in range(2000):
         p.evaluate(values)
     assert sys.getallocatedblocks() - before < 200
+
+
+# -- the product kernel against a schoolbook oracle ---------------------------
+# An oracle polynomial is a dict from exponent tuples over ORACLE_VARS
+# (S1..S64, then E1..E64) to nonzero Fractions; a monomial product adds
+# two tuples entry by entry.
+
+ORACLE_VARS = [svar(i) for i in range(1, 65)] + [evar(i) for i in range(1, 65)]
+ORACLE_ONE = {(0,) * len(ORACLE_VARS): Fraction(1)}
+
+# Variable pools by position in ORACLE_VARS.  Over S1..S3 every packed key
+# ends in more than 1000 zero bits; an odd power of E64 leaves none.
+ORACLE_POOLS = [range(3), range(125, 128), range(len(ORACLE_VARS))]
+
+
+def oracle_dot(terms):
+    out = {}
+    for c, a, b in terms:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + c * ca * cb
+    return {e: v for e, v in out.items() if v}
+
+
+def oracle_pow(a, n):
+    out = ORACLE_ONE
+    for _ in range(n):
+        out = oracle_dot([(1, out, a)])
+    return out
+
+
+def oracle_substitute(a, bindings):
+    """``bindings`` maps a position in ORACLE_VARS to an oracle polynomial."""
+    terms = []
+    for e, c in a.items():
+        image = ORACLE_ONE
+        for i, q in bindings.items():
+            image = oracle_dot([(1, image, oracle_pow(q, e[i]))])
+        rest = tuple(0 if i in bindings else x for i, x in enumerate(e))
+        terms.append((1, {rest: c}, image))
+    return oracle_dot(terms)
+
+
+def as_poly(a):
+    return Poly({Monomial({ORACLE_VARS[i]: x for i, x in enumerate(e) if x}): c for e, c in a.items()})
+
+
+def as_oracle(p):
+    return {tuple(mono.exponent(v) for v in ORACLE_VARS): c for mono, c in p.terms.items()}
+
+
+@st.composite
+def oracle_polys(draw, pool):
+    """Up to 4 terms of up to 3 variables from ``pool``; constants, zero and
+    rational coefficients all occur."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = [0] * len(ORACLE_VARS)
+        for i in draw(st.sets(st.sampled_from(pool), max_size=3)):
+            e[i] = draw(st.integers(1, 3))
+        coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        terms[tuple(e)] = terms.get(tuple(e), 0) + coeff
+    return {e: c for e, c in terms.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dot_matches_schoolbook(data):
+    pool = data.draw(st.sampled_from(ORACLE_POOLS))
+    terms = data.draw(
+        st.lists(st.tuples(st.integers(-3, 3), oracle_polys(pool), oracle_polys(pool)), max_size=4)
+    )
+    if data.draw(st.booleans()):  # each product cancels against its swapped negation
+        terms += [(-c, b, a) for c, a, b in terms]
+    got = Poly.dot([(c, as_poly(a), as_poly(b)) for c, a, b in terms])
+    assert as_oracle(got) == oracle_dot(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_pow_substitute_match_schoolbook(data):
+    pool = data.draw(st.sampled_from(ORACLE_POOLS))
+    a, b = data.draw(oracle_polys(pool)), data.draw(oracle_polys(pool))
+    assert as_oracle(as_poly(a) * as_poly(b)) == oracle_dot([(1, a, b)])
+    n = data.draw(st.integers(0, 3))
+    assert as_oracle(as_poly(a) ** n) == oracle_pow(a, n)
+    bound = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=2))
+    bindings = {i: data.draw(oracle_polys(pool)) for i in bound}
+    got = as_poly(a).substitute({ORACLE_VARS[i]: as_poly(q) for i, q in bindings.items()})
+    assert as_oracle(got) == oracle_substitute(a, bindings)
+
+
+def test_dot_of_nothing_is_zero():
+    assert Poly.dot([]) == Poly.zero()
+    s1 = Poly.variable(svar(1))
+    assert Poly.dot([(0, s1, s1), (2, s1, Poly.zero())]) == Poly.zero()
+
+
+def test_products_over_max_degree_raise():
+    big = Poly.parse("S1^200 + E64")
+    with pytest.raises(ValueError, match="exceeds"):
+        big * Poly.parse("S2^56")
+    with pytest.raises(ValueError, match="exceeds"):
+        Poly.dot([(1, Poly.const(3), big), (1, big, big)])
+    with pytest.raises(ValueError, match="exceeds"):
+        big ** 2
+    with pytest.raises(ValueError, match="exceeds"):
+        Poly.parse("S2^2*E1").substitute({svar(2): big})
+    assert (big * Poly.parse("S2^55")).degree() == 255

@@ -332,11 +332,16 @@ def test_fixture_lines_round_trip():
 
 # sha256 of the newline-joined renders, recorded from the Fraction-keyed
 # kernel that the packed kernel replaced; any change in a coefficient, a
-# term or the term order changes them.
+# term or the term order changes them.  The two digests at a second n
+# (macmahon_reduce at n = 8, e_expansion at k = 3, n = 9) were recorded
+# from the packed kernel's pairwise product loop, before Poly.dot
+# replaced it.
 RENDER_DIGESTS = {
     "e_expansion_s1_free": "4cc76741af333846e3c9ae477ad1ea32e2bf82b553d31a87d152f7edcab3cc58",
     "e_expansion_s1_zero": "abd217ef8c979c7e8648e6c749999f1ea9f63984cddd3ac0e90299d37f13858b",
     "macmahon_reduce": "63a4625a1fadaf49b118c1fedbf82c6added02f3e897cbdc0652634feef6eaf2",
+    "macmahon_reduce_n8": "4aed1aeb5512de7bd178eb86d4025155f4b28221281a5a58003a5b03683dd99a",
+    "e_expansion_k3_n9": "de5cf38e2986735b81c58fb6396c3535f81c263b4c014f720accd25bd8ec1178",
 }
 # The same digest of elementary_in_power_sums(j) for j = 0..12, recorded
 # before the symbolic and numeric recurrences were merged into one.
@@ -351,6 +356,8 @@ def test_renders_match_pinned_digests():
         "e_expansion_s1_free": digest(e_expansion(p, 4, 12, False) for p in range(1, 27)),
         "e_expansion_s1_zero": digest(e_expansion(p, 4, 12, True) for p in range(1, 27)),
         "macmahon_reduce": digest(macmahon_reduce(m, 12) for m in range(13, 27)),
+        "macmahon_reduce_n8": digest(macmahon_reduce(m, 8) for m in range(9, 31)),
+        "e_expansion_k3_n9": digest(e_expansion(p, 3, 9, False) for p in range(1, 21)),
     }
     assert got == RENDER_DIGESTS
 
