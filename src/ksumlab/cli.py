@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--symmetric", action="store_true", help="negation-symmetric sets only"
     )
-    p_search.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_search.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="parallel workers: this process and N - 1 forked children (more than 1 needs os.fork)",
+    )
     p_search.add_argument("--resume", metavar="FILE", help="checkpoint file")
     p_search.add_argument("--out", metavar="FILE", help="write records here instead of stdout")
     p_search.set_defaults(func=cmd_search)

@@ -17,23 +17,28 @@ are refused up front; more than ``MAX_PAIRS`` pairs of candidates with
 equal k-sums are refused once the buckets are formed, before any record
 is built.
 
-Chunked work partitioning keeps parallel runs reproducible: workers map
-chunks to keys and the merge is ordered, so the record list never depends
-on the worker count.  A checkpoint file holds a header fixing the search,
-then one JSON line of hex keys per chunk, written as the chunk finishes; a
-resumed run enumerates the candidates again and keys only missing chunks.
+Chunked work partitioning keeps parallel runs reproducible: the pending
+chunks are dealt round-robin to the workers, which are the calling process
+and ``workers - 1`` children made by ``os.fork`` after the candidates are
+listed, so no candidate is sent anywhere; each child pipes back the keys of
+its chunks in order, and the caller takes every chunk's keys in chunk order,
+so the record list and checkpoint never depend on the worker count.  More
+than one worker needs ``os.fork``.  A checkpoint file holds a header fixing
+the search, then one JSON line of hex keys per chunk, written as the chunk's
+keys arrive; a resumed run enumerates the candidates again and keys only
+missing chunks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, islice
 from math import comb
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .elimination import K_SUM, N_ELEMENTS, residual_relations
 from .multisets import (
@@ -116,10 +121,6 @@ def _candidates(spec: SearchSpec) -> tuple[int, Iterator[Numerators]]:
     return n, centred()
 
 
-def _as_fractions(nums: Numerators, den: int) -> NumberMultiset:
-    return tuple(Fraction(v, den) for v in nums)
-
-
 Key = int  # a candidate's packed k-sum histogram; see _chunk_pairs
 
 
@@ -168,6 +169,75 @@ def _chunk_pairs(args: tuple[int, int, Sequence[Numerators]]) -> list[Key]:
         lowest = (sum(nums[:j]) - j * low) // den
         keys.append(packed >> (top + lowest * width))
     return keys
+
+
+def _keyed_chunks(
+    k: int, den: int, chunks: list[list[Numerators]], pending: list[int], workers: int
+) -> Iterator[list[Key]]:
+    """The keys of ``chunks[i]`` for each i in ``pending``, in that order.
+
+    ``pending[p]`` goes to worker ``p % w``, w = min(workers, len(pending)).
+    Worker 0 is the caller, which keys its chunks as their turn comes; the
+    others are forked children that inherit the chunks, key theirs in order
+    and pickle each chunk's keys down their own pipe as soon as it is done.
+    Every child is reaped before this generator finishes, on every path, and
+    every pipe is closed before any child is reaped, so a child blocked on a
+    full pipe ends on EPIPE.
+    """
+    w = min(workers, len(pending))
+    if w <= 1:
+        for i in pending:
+            yield _chunk_pairs((k, den, chunks[i]))
+        return
+    import pickle  # lazy, as it would slow every `import ksumlab`
+
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for slot in range(1, w):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:  # a child never returns: it skips inherited buffers and atexit handlers
+                    os.close(read_end)
+                    with os.fdopen(write_end, "wb") as pipe:
+                        for i in pending[slot::w]:
+                            try:
+                                message = True, _chunk_pairs((k, den, chunks[i]))
+                            except Exception as exc:
+                                message = False, f"{type(exc).__name__}: {exc}"
+                            pickle.dump(message, pipe)
+                            pipe.flush()
+                            if not message[0]:
+                                break
+                        else:
+                            status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        for p, i in enumerate(pending):
+            if p % w == 0:
+                yield _chunk_pairs((k, den, chunks[i]))
+                continue
+            pid, reader = children[p % w - 1]
+            try:
+                ok, payload = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a message cut short
+                raise RuntimeError(f"search worker {pid} ended before sending the keys of chunk {i}") from None
+            if not ok:
+                raise RuntimeError(f"search worker {pid} failed on chunk {i}: {payload}")
+            yield payload
+    finally:
+        for _, reader in children:
+            reader.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
@@ -251,6 +321,8 @@ def find_collisions(
     """All collision pairs within the bounded space, canonically ordered."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{workers} workers need os.fork, which this platform does not have; use 1 worker")
     count = _candidate_count(spec)
     if count > MAX_CANDIDATES:
         raise ValueError(
@@ -277,17 +349,11 @@ def find_collisions(
     sizes = [len(chunk) for chunk in chunks]
     done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
-    jobs = [(spec.k, den, chunks[i]) for i in pending]
     with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
         out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
         if out and not has_header:
             print(json.dumps({"header": _checkpoint_header(spec)}), file=out)
-        if workers > 1 and len(jobs) > 1:
-            from multiprocessing import Pool  # lazy: it would slow every `import ksumlab`
-
-            results = stack.enter_context(Pool(processes=workers)).imap(_chunk_pairs, jobs)
-        else:
-            results = map(_chunk_pairs, jobs)
+        results = stack.enter_context(closing(_keyed_chunks(spec.k, den, chunks, pending, workers)))
         for chunk_id, keys in zip(pending, results):
             done[chunk_id] = keys
             if out:
@@ -305,19 +371,23 @@ def find_collisions(
             f"the search space has {pair_count} pairs of candidates with equal {spec.k}-sums,"
             f" more than the {MAX_PAIRS} allowed; lower the bound or k"
         )
+    # Keys are chunk-independent, so one call keys every member of every shared bucket
+    # again, to check that each bucket holds equal keys.
+    rekeyed = iter(_chunk_pairs((spec.k, den, [c for members in shared for c in members])) if shared else ())
     # Buckets have distinct k-sums, so sorting them by sums, then members, orders the
     # records as (sums, first, second); every sum's denominator divides den.
     buckets = []
     for members in shared:
-        if len(set(_chunk_pairs((spec.k, den, members)))) > 1:
+        if len(set(islice(rekeyed, len(members)))) > 1:
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
         sums = ksums(members[0], spec.k, den)
         buckets.append((_runs_key(sums.numerators, den // sums.denominator), sorted(members)))
+    fraction = {v: Fraction(v, den) for v in {v for members in shared for nums in members for v in nums}}
     return dedupe_records([
         CollisionRecord(x, y, spec.k)
         for _, members in sorted(buckets)
-        for x, y in combinations([_as_fractions(nums, den) for nums in members], 2)
+        for x, y in combinations([tuple(map(fraction.__getitem__, nums)) for nums in members], 2)
     ])
 
 

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -205,15 +207,124 @@ def test_checkpoint_tail_repair(tmp_path):
 def test_import_does_not_load_multiprocessing():
     src = os.path.dirname(os.path.dirname(ksumlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, ksumlab; print('multiprocessing' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "False"
+    search_call = "ksumlab.find_collisions(ksumlab.SearchSpec(8, 2, 8), workers=2)"
+    for statements, absent in [(["import ksumlab"], ("multiprocessing", "pickle")),
+                               (["import ksumlab", search_call], ("multiprocessing",))]:
+        probe = "; ".join(["import sys", *statements, f"print([m for m in {absent!r} if m in sys.modules])"])
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]", statements
+
+
+@pytest.mark.parametrize(
+    "spec", [SearchSpec(8, 2, 8), SearchSpec(6, 3, 8), SearchSpec(4, 2, 7), SearchSpec(10, 2, 8, True)], ids=str
+)
+def test_records_and_checkpoints_do_not_depend_on_workers(tmp_path, spec):
+    runs = []
+    for workers in (1, 2, 3):
+        ck = tmp_path / f"progress-{workers}.jsonl"
+        runs.append((find_collisions(spec, workers=workers, checkpoint=str(ck)), ck.read_bytes()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # resumed by 2 workers from the header and the first half of the chunk lines
+    header, *chunk_lines = runs[0][1].splitlines(keepends=True)
+    ck = tmp_path / "cut.jsonl"
+    ck.write_bytes(header + b"".join(chunk_lines[: len(chunk_lines) // 2]))
+    assert find_collisions(spec, workers=2, checkpoint=str(ck)) == runs[0][0]
+    assert ck.read_bytes() == runs[0][1]
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail, rather than hang, a search whose children are never reaped."""
+
+    def expire(signum, frame):
+        raise TimeoutError("find_collisions did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_failing_worker_raises_a_clear_error(monkeypatch, time_limit):
+    caller, real = os.getpid(), search._chunk_pairs
+
+    def failing_in_children(job):
+        if os.getpid() != caller:
+            raise RuntimeError("broken keying")
+        return real(job)
+
+    monkeypatch.setattr(search, "_chunk_pairs", failing_in_children)
+    with pytest.raises(RuntimeError, match=r"search worker \d+ failed on chunk 1: RuntimeError: broken keying"):
+        find_collisions(SearchSpec(8, 2, 8), workers=2)
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("mid_message", [False, True])
+def test_a_worker_that_dies_is_reported(monkeypatch, time_limit, mid_message):
+    caller, real, real_dump = os.getpid(), search._chunk_pairs, pickle.dump
+
+    def dying_in_children(job):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(job)
+
+    def dying_while_sending(obj, file):
+        if os.getpid() != caller:
+            data = pickle.dumps(obj)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(3)
+        real_dump(obj, file)
+
+    if mid_message:
+        monkeypatch.setattr(pickle, "dump", dying_while_sending)
+    else:
+        monkeypatch.setattr(search, "_chunk_pairs", dying_in_children)
+    with pytest.raises(RuntimeError, match="ended before sending the keys of chunk 1"):
+        find_collisions(SearchSpec(8, 2, 8), workers=2)
+    _assert_no_children_left()
+
+
+class CallerFailure(Exception):
+    pass
+
+
+# Symmetric (12, 4, 12) has 73 chunks of up to 28 KB of keys each, so the children
+# block on full pipes while the caller fails on its first chunk.
+@pytest.mark.parametrize("spec", [SearchSpec(8, 2, 8), SearchSpec(12, 4, 12, True)], ids=str)
+def test_a_failing_caller_raises_its_own_error(monkeypatch, spec, time_limit):
+    caller, real = os.getpid(), search._chunk_pairs
+
+    def failing_in_caller(job):
+        if os.getpid() == caller:
+            raise CallerFailure("caller keying failed")
+        return real(job)
+
+    monkeypatch.setattr(search, "_chunk_pairs", failing_in_caller)
+    with pytest.raises(CallerFailure, match="caller keying failed"):
+        find_collisions(spec, workers=3)
+    _assert_no_children_left()
+
+
+def test_more_than_one_worker_needs_fork(monkeypatch):
+    spec = SearchSpec(8, 2, 8)
+    fresh = find_collisions(spec)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        find_collisions(spec, workers=2)
+    assert find_collisions(spec, workers=1) == fresh
 
 
 def test_checkpoint_keeps_chunks_finished_before_an_interruption(tmp_path, monkeypatch):
@@ -356,6 +467,28 @@ def test_format_two_checkpoint_is_refused(tmp_path):
     with pytest.raises(ValueError, match="different search"):
         find_collisions(spec, checkpoint=str(ck))
     assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("spec", [SearchSpec(6, 3, 8), SearchSpec(4, 2, 7), SearchSpec(8, 2, 8, True)], ids=str)
+def test_raw_records_are_every_pair_of_equal_k_sums(monkeypatch, spec):
+    raw = []
+
+    def capture(records):
+        raw.extend(records)
+        return dedupe_records(records)
+
+    monkeypatch.setattr(search, "dedupe_records", capture)
+    find_collisions(spec)
+    den, stream = search._candidates(spec)
+    buckets = {}
+    for nums in stream:
+        candidate = tuple(Fraction(v, den) for v in nums)
+        buckets.setdefault(ksums(candidate, spec.k).sums, []).append(candidate)
+    expected = [
+        (x, y) for sums in sorted(buckets) for x, y in itertools.combinations(sorted(buckets[sums]), 2)
+    ]
+    assert expected and [(r.first, r.second) for r in raw] == expected
+    assert all(type(v) is Fraction for r in raw for v in r.first + r.second)
 
 
 def test_checkpoint_keys_that_merge_different_sums_are_refused(tmp_path):
