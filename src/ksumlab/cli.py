@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="parallel workers: this process and N - 1 forked children (more than 1 needs os.fork)",
+        help="parallel workers: this process and N - 1 forked children (more than 1 needs Linux)",
     )
     p_search.add_argument("--resume", metavar="FILE", help="checkpoint file")
     p_search.add_argument("--out", metavar="FILE", help="write records here instead of stdout")

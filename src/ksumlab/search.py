@@ -23,16 +23,18 @@ and ``workers - 1`` children made by ``os.fork`` after the candidates are
 listed, so no candidate is sent anywhere; each child pipes back the keys of
 its chunks in order, and the caller takes every chunk's keys in chunk order,
 so the record list and checkpoint never depend on the worker count.  More
-than one worker needs ``os.fork``.  A checkpoint file holds a header fixing
-the search, then one JSON line of hex keys per chunk, written as the chunk's
-keys arrive; a resumed run enumerates the candidates again and keys only
-missing chunks.
+than one worker needs Linux: elsewhere ``os.fork`` is missing, or, on macOS,
+unsafe without an exec once system libraries have started threads.  A
+checkpoint file holds a header fixing the search, then one JSON line of hex
+keys per chunk, written as the chunk's keys arrive; a resumed run enumerates
+the candidates again and keys only missing chunks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,9 +182,9 @@ def _keyed_chunks(
     Worker 0 is the caller, which keys its chunks as their turn comes; the
     others are forked children that inherit the chunks, key theirs in order
     and pickle each chunk's keys down their own pipe as soon as it is done.
-    Every child is reaped before this generator finishes, on every path, and
-    every pipe is closed before any child is reaped, so a child blocked on a
-    full pipe ends on EPIPE.
+    Every child is reaped before this generator finishes, on every path.  No
+    child holds the read end of another's pipe, and every pipe is closed
+    before any child is reaped, so a child blocked on a full pipe ends on EPIPE.
     """
     w = min(workers, len(pending))
     if w <= 1:
@@ -205,6 +207,8 @@ def _keyed_chunks(
                 status = 1
                 try:  # a child never returns: it skips inherited buffers and atexit handlers
                     os.close(read_end)
+                    for _, reader in children:
+                        reader.close()
                     with os.fdopen(write_end, "wb") as pipe:
                         for i in pending[slot::w]:
                             try:
@@ -321,8 +325,8 @@ def find_collisions(
     """All collision pairs within the bounded space, canonically ordered."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > 1 and not hasattr(os, "fork"):
-        raise ValueError(f"{workers} workers need os.fork, which this platform does not have; use 1 worker")
+    if workers > 1 and (sys.platform != "linux" or not hasattr(os, "fork")):
+        raise ValueError(f"{workers} workers need os.fork on Linux, which {sys.platform} does not offer; use 1 worker")
     count = _candidate_count(spec)
     if count > MAX_CANDIDATES:
         raise ValueError(

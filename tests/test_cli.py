@@ -377,11 +377,12 @@ def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, worke
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_search_workers_without_fork_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.delattr(os, "fork")
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_search_workers_off_linux_is_a_usage_error(capsys, monkeypatch, platform):
+    monkeypatch.setattr(sys, "platform", platform)
     code, out, err = run(capsys, "search", "-n", "8", "-k", "2", "-B", "8", "--workers", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "os.fork" in err and "Traceback" not in err
+    assert err.startswith("error:") and "os.fork on Linux" in err and "Traceback" not in err
     code, out, _ = run(capsys, "search", "-n", "8", "-k", "2", "-B", "8", "--workers", "1")
     assert code == 0 and out
 

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -318,13 +319,40 @@ def test_a_failing_caller_raises_its_own_error(monkeypatch, spec, time_limit):
     _assert_no_children_left()
 
 
-def test_more_than_one_worker_needs_fork(monkeypatch):
+@pytest.mark.parametrize("platform, has_fork", [("linux", False), ("darwin", True), ("win32", False)])
+def test_more_than_one_worker_needs_fork_on_linux(monkeypatch, platform, has_fork):
     spec = SearchSpec(8, 2, 8)
     fresh = find_collisions(spec)
-    monkeypatch.delattr(os, "fork")
-    with pytest.raises(ValueError, match="os.fork"):
+    monkeypatch.setattr(sys, "platform", platform)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match=f"os.fork on Linux, which {platform} does not offer"):
         find_collisions(spec, workers=2)
     assert find_collisions(spec, workers=1) == fresh
+
+
+def _pipes():
+    return {fd for fd in map(int, os.listdir("/proc/self/fd")) if _is_pipe(fd)}
+
+
+def _is_pipe(fd):
+    try:
+        return stat.S_ISFIFO(os.fstat(fd).st_mode)
+    except OSError:  # the descriptor listdir itself had open
+        return False
+
+
+def test_a_child_holds_only_its_own_pipe(monkeypatch, time_limit):
+    caller, real, before = os.getpid(), search._chunk_pairs, _pipes()
+
+    def counting_pipes_in_children(job):
+        if os.getpid() != caller and len(_pipes() - before) != 1:
+            raise RuntimeError(f"a child holds pipes {sorted(_pipes() - before)}")
+        return real(job)
+
+    monkeypatch.setattr(search, "_chunk_pairs", counting_pipes_in_children)
+    assert find_collisions(SearchSpec(8, 2, 8), workers=3) == find_collisions(SearchSpec(8, 2, 8))
+    _assert_no_children_left()
 
 
 def test_checkpoint_keeps_chunks_finished_before_an_interruption(tmp_path, monkeypatch):
