@@ -39,8 +39,6 @@ def _primes_below(bound: int) -> tuple[int, ...]:
 # The primes up to N_ELEMENTS, a factor of every scale that Newton's
 # identities run under, so that their divisions are exact on ints.
 _NEWTON_PRIMES = prod(_primes_below(N_ELEMENTS + 1))
-# Primes that _over_weighted_denominator takes to their least exponent.
-_SMALL_PRIMES = _primes_below(100)
 
 
 class NonLinearPivotError(RuntimeError):
@@ -224,30 +222,19 @@ def _over_weighted_denominator(values: Sequence[Fraction]) -> tuple[list[int], i
     """Integers ``nums`` and a scale D with ``values[i] == nums[i] / D**(i+1)``.
 
     D is the product of the primes up to n times a scale W such that
-    ``den(values[i])`` divides ``W**(i+1)``.  W holds each prime below 100 to
-    the least exponent that does this.  What is left of a denominator, less
-    its gcd with the power of W formed so far, enters W as its exact
-    (i+1)-th root when it is a perfect (i+1)-th power and whole otherwise;
-    that is the least exponent too when the leftover is one prime to the
-    power 1 or i+1.  The lcm of the denominators is also such a W, but a far
-    larger one.
+    ``den(values[i])`` divides ``W**(i+1)``.  W grows weight by weight: the
+    part of a denominator that the power of W formed so far does not cover
+    enters W as its exact (i+1)-th root when it is a perfect (i+1)-th power
+    and whole otherwise.  The lcm of the denominators is also such a W, but
+    a far larger one.
     """
-    exps: dict[int, int] = {}
     rest = 1
     for weight, v in enumerate(values, 1):
-        d = v.denominator
-        for q in _SMALL_PRIMES:
-            if d % q == 0:
-                e = 0
-                while d % q == 0:
-                    d //= q
-                    e += 1
-                exps[q] = max(exps.get(q, 0), -(-e // weight))
-        if d > 1:
-            left = d // gcd(d, rest**weight)
+        left = v.denominator // gcd(v.denominator, rest**weight)
+        if left > 1:
             root = _integer_root(left, weight)
             rest *= root if root**weight == left else left
-    scale = _NEWTON_PRIMES * rest * prod(q**e for q, e in exps.items())
+    scale = _NEWTON_PRIMES * rest
     nums, power = [], 1
     for v in values:
         power *= scale
@@ -326,11 +313,12 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     table entry for S_p have weight p, so with a scale D such that
     den(S_p) divides D^p, the integers P_p = S_p D^p go through Newton's
     identities up to P_PMAX and through each identity polynomial, and only
-    the value of E_p is divided, once, by D^p.  D is the least such scale
-    in the primes below 100 (leftover factors are kept whole), times the
-    primes up to n, which make Newton's divisions by j exact: j! e_j is an
-    integer polynomial in the power sums and j! has fewer than j factors of
-    each prime.  The partner's S_p come from the tables as rationals and get
+    the value of E_p is divided, once, by D^p.  D is built weight by weight
+    from the part of each denominator not yet covered (its exact root when
+    it is a perfect power, whole otherwise), times the primes up to n,
+    which make Newton's divisions by j exact: j! e_j is an integer
+    polynomial in the power sums and j! has fewer than j factors of each
+    prime.  The partner's S_p come from the tables as rationals and get
     their own scale Q, chosen the same way.
     """
     _require_zero_s1(s, upto=N_ELEMENTS)

@@ -22,13 +22,14 @@ from typing import Iterable, Sequence
 from .algebra import Poly, RationalLike, svar
 from .multisets import NumberMultiset, PowerSumVector, ksums
 
-# e_expansion is refused before any work when _term_bound exceeds this.
-# Cold, admitted requests take at most about 0.3 s (Python 3.11, 2 vCPUs;
-# the slowest are p = 20 at k >= 20, 0.2-0.3 s, and p = 53 at k = 5,
-# about 0.22 s); p <= 26 at k = 4, the (12, 4) identities, has a bound of
-# at most 2347, while p = 30 at k = 15, bound 12766725, is refused
-# (unguarded, it takes 2.0-2.5 s).
-MAX_EXPANSION_TERMS = 200_000
+# e_expansion is refused before any work when its cost, _term_bound(p, k)
+# times min(k, p)**2, exceeds this.  The cost depends on neither n nor the
+# S_1 = 0 flag and ranks the cold build time of _onto_sums' recurrence.
+# Cold and in-process, no admitted request takes more than about 0.35 s
+# (Python 3.11, 2 vCPUs; the slowest is p = 53 at k = 5).
+# p <= 26 at k = 4, the (12, 4) identities, costs at most 3296, while
+# p = 30 at k = 15, cost 1146600, is refused (unguarded, it takes over 2 s).
+MAX_EXPANSION_COST = 120_000
 
 
 class BadRangeError(ValueError):
@@ -143,29 +144,14 @@ def _onto_sums(p: int, j: int, set_s1_zero: bool) -> Poly:
 
 
 def _term_bound(p: int, k: int) -> int:
-    """The admission rule of e_expansion, exact and cheap.
-
-    It is the term count of the partition method that e_expansion used
-    before the recurrence, kept so that the same requests are refused:
-    each partition of p into j <= k parts was rewritten into one term per
-    distinct coarsening of its parts, which is at most the Bell number B_j
-    (set partitions of the parts) and at most the number of partitions of
-    p into at most j parts.  The bound sums the lesser of the two over the
-    partitions.
-    """
-    top = min(k, p)
-    exact = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(p)]  # [m][j]: m in exactly j parts
-    for m in range(1, p + 1):
-        for j in range(1, min(m, top) + 1):
-            exact[m][j] = exact[m - 1][j - 1] + exact[m - j][j]
-    bell = [1]
-    for j in range(1, top + 1):
-        bell.append(sum(comb(j - 1, i) * bell[i] for i in range(j)))
-    bound = at_most = 0
-    for j in range(1, top + 1):
-        at_most += exact[p][j]
-        bound += exact[p][j] * min(bell[j], at_most)
-    return bound
+    """The partitions of p into at most k parts: a bound on the terms of E_p,
+    each a product of at most k power sums.  Counted as their conjugates,
+    the partitions of p into parts of at most k."""
+    at_most = [1] + [0] * p  # at_most[m]: partitions of m into parts <= j
+    for j in range(1, min(k, p) + 1):
+        for m in range(j, p + 1):
+            at_most[m] += at_most[m - j]
+    return at_most[p]
 
 
 @lru_cache(maxsize=None)
@@ -184,14 +170,15 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
     if not 1 <= k <= n:
         raise BadRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
     svar(p)  # E_p holds S_p, so p must be a valid index (ValueError otherwise)
-    bound = _term_bound(p, k)
-    if bound > MAX_EXPANSION_TERMS:
+    top = min(k, p)
+    terms = _term_bound(p, k)
+    if terms * top**2 > MAX_EXPANSION_COST:
         raise BadRangeError(
-            f"E{p} at k = {k} would rewrite up to {bound} terms, more than the"
-            f" {MAX_EXPANSION_TERMS} allowed; lower p or k"
+            f"E{p} at k = {k} would cost {terms * top**2} (up to {terms} terms times {top}^2),"
+            f" more than the {MAX_EXPANSION_COST} allowed; lower p or k"
         )
     one = Poly.const(1)
-    return Poly.dot((comb(n - j, k - j), _onto_sums(p, j, set_s1_zero), one) for j in range(1, min(k, p) + 1))
+    return Poly.dot((comb(n - j, k - j), _onto_sums(p, j, set_s1_zero), one) for j in range(1, top + 1))
 
 
 def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:

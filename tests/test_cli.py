@@ -151,9 +151,10 @@ def test_expand_refuses_costly_requests_fast(capsys):
     code, out, err = run(capsys, "expand", "30", "-k", "15", "-n", "30")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: E30 at k = 15 would rewrite up to 12766725 terms")
+    assert err.startswith("error: E30 at k = 15 would cost 1146600 (up to 5096 terms times 15^2)")
     for p in range(1, 27):  # every identity of the (12, 4) system stays admitted
         assert run(capsys, "expand", str(p))[0] == 0
+    assert run(capsys, "expand", "22", "-k", "9", "-n", "30")[0] == 0
 
 
 def test_expand_fixture_override(tmp_path, capsys, monkeypatch):

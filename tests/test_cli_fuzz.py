@@ -20,15 +20,16 @@ from ksumlab.search import (
     _candidate_count,
     _key_bits,
 )
-from ksumlab.symfunc import MAX_EXPANSION_TERMS, _term_bound
+from ksumlab.symfunc import MAX_EXPANSION_COST, _term_bound
 
 # Admitted k-sum requests above this many sums are skipped, not because they
 # fail but because they are slow: `collide` on two differing 22-element sets
 # at k = 11, C(22, 11) = 705432 sums, takes about 3 s.  Requests the guard
 # refuses are always kept.
 FAST_SUMS = 20_000
-# Likewise for admitted expansions: a term bound of 200000 can take 1.5 s.
-FAST_TERMS = 5_000
+# Likewise for admitted expansions, by the cost that e_expansion's guard
+# prices: cold, a cost of at most 5000 builds in about 20 ms.
+FAST_COST = 5_000
 
 _JUNK = ["x", "1.5", "^3", "1/-2", "--", "1 2 3^", "0^10000000000000"]
 
@@ -78,8 +79,8 @@ def collide_argv(draw):
 def expand_argv(draw):
     p, k, n = draw(st.integers(-1, 70)), draw(_arity), draw(_size)
     if 1 <= p <= MAX_INDEX and 1 <= k <= n:
-        bound = _term_bound(p, k)
-        assume(bound <= FAST_TERMS or bound > MAX_EXPANSION_TERMS)
+        cost = _term_bound(p, k) * min(k, p) ** 2
+        assume(cost <= FAST_COST or cost > MAX_EXPANSION_COST)
     flags = draw(st.lists(st.sampled_from(["--s1-zero", "--check-fixtures"]), unique=True))
     return ["expand", str(p), "-k", str(k), "-n", str(n), *flags]
 

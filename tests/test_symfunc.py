@@ -16,7 +16,7 @@ from ksumlab.algebra import Poly, svar
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import as_multiset, power_sum
 from ksumlab.symfunc import (
-    MAX_EXPANSION_TERMS,
+    MAX_EXPANSION_COST,
     _newton,
     _onto_sums,
     _term_bound,
@@ -256,10 +256,10 @@ def test_e_expansion_bad_ranges():
 
 def test_e_expansion_refuses_costly_requests_before_any_work():
     start = time.perf_counter()
-    with pytest.raises(BadRangeError, match="up to 12766725 terms"):
+    with pytest.raises(BadRangeError, match=r"would cost 1146600 \(up to 5096 terms times 15\^2\)"):
         e_expansion(30, 15, 30, False)
     assert time.perf_counter() - start < 1
-    assert max(_term_bound(p, 4) for p in range(1, 27)) == 2347 <= MAX_EXPANSION_TERMS
+    assert max(_term_bound(p, 4) * min(p, 4) ** 2 for p in range(1, 27)) == 3296 <= MAX_EXPANSION_COST
     with pytest.raises(ValueError, match="variable index"):  # the index check comes first
         e_expansion(65, 64, 64, False)
 
@@ -276,23 +276,13 @@ def _partitions(total, max_parts, max_value):
             yield (first, *rest)
 
 
-def _bell(j):
-    """The j-th Bell number, read off the Bell triangle."""
-    row = [1]
-    for _ in range(j):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
-@pytest.mark.parametrize("p, k", [(1, 1), (6, 2), (8, 3), (10, 4), (12, 6), (9, 9), (14, 20)])
-def test_term_bound_sums_a_bound_over_the_partitions(p, k):
-    parts = list(_partitions(p, k, p))
-    lengths = [len(q) for q in _partitions(p, p, p)]  # of every partition of p
-    assert _term_bound(p, k) == sum(min(_bell(len(q)), sum(j <= len(q) for j in lengths)) for q in parts)
-    assert len(e_expansion(p, k, k, False)) <= _term_bound(p, k)
+def test_term_bound_counts_the_partitions_into_at_most_k_parts():
+    for p in range(1, 17):
+        for k in [*range(1, 9), 20]:
+            bound = _term_bound(p, k)
+            assert bound == len(list(_partitions(p, k, p))), (p, k)
+            for flag in (False, True):
+                assert len(e_expansion(p, k, k + 2, flag)) <= bound, (p, k, flag)
 
 
 def test_e_expansion_matches_oracle_on_random_set():
