@@ -276,6 +276,14 @@ def _partitions(total, max_parts, max_value):
             yield (first, *rest)
 
 
+@pytest.mark.parametrize("p, k", [(1, 1), (6, 2), (8, 3), (10, 4), (12, 6), (9, 9), (14, 20)])
+def test_term_bound_sums_a_bound_over_the_partitions(p, k):
+    # Each partition of p into at most k parts bounds its own terms of E_p by one.
+    assert _term_bound(p, k) == sum(1 for _ in _partitions(p, k, p))
+    for flag in (False, True):
+        assert len(e_expansion(p, k, k, flag)) <= _term_bound(p, k)
+
+
 def test_term_bound_counts_the_partitions_into_at_most_k_parts():
     for p in range(1, 17):
         for k in [*range(1, 9), 20]:
