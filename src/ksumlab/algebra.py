@@ -25,7 +25,9 @@ a list of terms into one numerator map and reduces once.  Inside it the
 keys are shifted down by the zero bits they all end in, so a polynomial
 in S_1..S_12 multiplies on keys of about 100 bits instead of about 1030.
 ``*``, ``**`` and ``substitute`` call it, and so do Newton's identities
-and the E_p recurrence in ``symfunc``.
+and the ``_onto_sums`` recurrence in ``symfunc``.  Sums such as
+``e_expansion``'s go through ``+`` and scalar ``*`` instead, which keep
+the key ints of their inputs.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .elimination import (
 from .known import DOUBLE_ROOT_SET
 from .multisets import (
     NumberMultiset,
+    centred_numerators,
     centred_power_sums,
     format_runs,
     ksums,
@@ -51,6 +52,11 @@ from .symfunc import (
 USAGE_ERROR = 2
 NEGATIVE = 1
 OK = 0
+
+# The residuals take time that grows with the bit length of the centred numerators
+# and of their denominator: about 0.5 s at 500 bits (12 integers of 150 digits),
+# 1.4 s at 1000, 3.3 s at 1700, and 15 to 40 s over a denominator of 13200 bits.
+MAX_CERTIFY_BITS = 1024
 
 
 def _resolve_set_args(raw: list[str]) -> list[NumberMultiset]:
@@ -143,6 +149,10 @@ def _prepared_power_sums(raw_set: str, quantity: str):
         raise ValueError("expected exactly one set")
     if len(sets[0]) != N_ELEMENTS:
         raise ValueError(f"set must have exactly {N_ELEMENTS} elements, got {len(sets[0])}")
+    numerators, den = centred_numerators(sets[0])
+    bits = max(den, *map(abs, numerators)).bit_length()
+    if bits > MAX_CERTIFY_BITS:
+        raise ValueError(f"the centred set has numbers of {bits} bits, more than the {MAX_CERTIFY_BITS} allowed")
     total = sum(sets[0])
     if total:
         print(f"note: input shifted by {-total / N_ELEMENTS} so that S_1 = 0", file=sys.stderr)
@@ -284,11 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact results can have more digits than the interpreter converts to text by default.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # the one usage-error boundary
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby, repeat
-from math import comb, gcd
+from math import comb, gcd, log10
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -23,6 +23,9 @@ NumberMultiset = tuple[Fraction, ...]
 # work; symmetric (16, 8) needs 12870 sums, and C(22, 11) = 705432 sums take
 # about 0.25 s and 35 MB.  A set literal may not hold more elements either.
 MAX_SUMS = 1_000_000
+# The interpreter's default limit on converting text to an int; the CLI lifts
+# it to print exact results, so set literals keep to it here.
+MAX_DIGITS = 4300
 
 
 class BadKError(ValueError):
@@ -50,13 +53,16 @@ def parse_multiset(text: str) -> NumberMultiset:
     """Parse a set literal: integers or p/q, whitespace/comma separated.
 
     A token ``x^m`` repeats the element m times, e.g. ``0^10``; a literal of
-    more than ``MAX_SUMS`` elements is refused before it is built.
+    more than ``MAX_SUMS`` elements, or with a number of more than
+    ``MAX_DIGITS`` digits, is refused before it is built.
     """
     runs: list[tuple[Fraction, int]] = []
     size = 0
     for token in re.split(r"[\s,]+", text.strip()):
         if not token:
             continue
+        if len(token) > MAX_DIGITS and any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", token)):
+            raise ValueError(f"a number in the set literal has more than the {MAX_DIGITS} digits allowed")
         match = _ELEMENT.match(token)
         if match is None:
             raise ValueError(f"bad multiset element {token!r}")
@@ -112,12 +118,19 @@ class SumMultiset:
         return _power_sums(list(counts), self.denominator, m, list(counts.values()))
 
 
+def approximate(x: int) -> str:
+    """``x`` in decimal, or its power of ten once it has more than 30 digits, so
+    that a message quoting a count stays short however large the count."""
+    return str(x) if x < 10**30 else f"about 10^{int(x.bit_length() * log10(2))}"
+
+
 def check_sum_count(n: int, k: int) -> None:
     """Refuse, before any work, a request for more than ``MAX_SUMS`` k-sums."""
     count = comb(n, k)
     if count > MAX_SUMS:
         raise ValueError(
-            f"{n} elements have {count} {k}-sums, more than the {MAX_SUMS} allowed; lower n or k"
+            f"{n} elements have {approximate(count)} {k}-sums, more than the {MAX_SUMS} allowed;"
+            " lower n or k"
         )
 
 
@@ -184,7 +197,7 @@ def affine_image(a: NumberMultiset, scale: RationalLike, shift: RationalLike) ->
     return as_multiset(t * x + c for x in a)
 
 
-def _centre(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+def centred_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators of ``x - mean`` over one positive denominator."""
     ints, den = over_common_denominator(values)
     size, total = len(ints), sum(ints)
@@ -193,7 +206,7 @@ def _centre(values: Sequence[RationalLike]) -> tuple[list[int], int]:
 
 def centred_power_sums(values: Sequence[RationalLike], m: int) -> PowerSumVector:
     """Power sums 1..m of the multiset shifted so that its elements sum to zero."""
-    return _power_sums(*_centre(values), m)
+    return _power_sums(*centred_numerators(values), m)
 
 
 def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...], ...]:
@@ -205,7 +218,7 @@ def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...]
     is the lesser of the two reflections, a sorted tuple of sorted int
     tuples, one per part.
     """
-    centred, _ = _centre([x for part in parts for x in part])
+    centred, _ = centred_numerators([x for part in parts for x in part])
     g = gcd(*centred) or 1  # all zeros when every element is equal
     rest = iter(centred)
     pieces = [[next(rest) // g for _ in part] for part in parts]

@@ -10,12 +10,11 @@ Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
 the nondecreasing tuples from {0..B}, the one starting at 0, centred to
-sum zero, and is exponential in n.  Spaces of more than ``MAX_CANDIDATES``
-candidates, more than ``MAX_NUMERATORS`` numerators in all, more than
-``MAX_SUMS`` k-sums per candidate or more than ``MAX_KEY_BITS`` of keys
-are refused up front; more than ``MAX_PAIRS`` pairs of candidates with
-equal k-sums are refused once the buckets are formed, before any record
-is built.
+sum zero, and is exponential in n.  ``check_listing`` refuses, before
+any work, a space whose candidates and keys would hold more than
+``MAX_LISTING_BYTES``; as the keyed candidates are bucketed, a space is
+refused as soon as the records and the k-sums of its shared buckets would
+cost more than ``MAX_BUCKET_WORK``, before any record or k-sum is built.
 
 Chunked work partitioning keeps parallel runs reproducible: the pending
 chunks are dealt round-robin to the workers, which are the calling process
@@ -38,13 +37,14 @@ import sys
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby, islice
+from itertools import chain, combinations, combinations_with_replacement, groupby, islice
 from math import comb
 from typing import BinaryIO, Iterator, Sequence
 
 from .elimination import K_SUM, N_ELEMENTS, residual_relations
 from .multisets import (
     NumberMultiset,
+    approximate,
     centred_power_sums,
     check_sum_count,
     collision_class_key,
@@ -52,20 +52,16 @@ from .multisets import (
 )
 
 CHUNK_SIZE = 256
-# Every candidate and its key stay in memory until the buckets are formed,
-# so larger spaces are refused before any work.  Symmetric (12, 4, B=20)
-# has 230230 candidates and 333603270 key bits at most; it takes about 4 s
-# and peaks near 150 MB, as does general (3, 1, B=700) with 246051.
-MAX_CANDIDATES = 250_000
-# The candidates hold n numerators each, about 27 bytes apiece: general
-# (200, 1, 2) stores 4020000 and peaks near 115 MB, (250, 1, 2) 7843750
-# and 220 MB.  The bound keeps peaks near the 150 MB above and refuses no
-# space of n < 26 that MAX_CANDIDATES admits; symmetric (12, 4, 20) stores 2762760.
-MAX_NUMERATORS = 5_000_000
-MAX_KEY_BITS = 400_000_000
-# Every pair in a bucket becomes a record, about 19 us and 0.4 KB each;
-# at k = n all candidates share one bucket.
-MAX_PAIRS = 100_000
+# Candidates and keys stay in memory until bucketed, priced at about 256 bytes per
+# candidate (its tuple, its key's int, their slots in chunks and groups), 32 per
+# numerator and 1 per 8 bits of the widest key.  Measured listing peaks stay below
+# the price plus the 17 MB of the bare interpreter: symmetric (12, 4, B=20), priced
+# at 189 MB, peaks near 150 MB.
+MAX_LISTING_BYTES = 200_000_000
+# A shared bucket builds its C(n, k) sums, about 0.4 us each, to order its records,
+# and each pair in it becomes a record, about 50 us with its share of the bucket's
+# fixed cost, so priced as 125 sums; general (6, 3, B=22), at 5.85 million, takes 5 s.
+MAX_BUCKET_WORK = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,21 @@ def _key_arity(n: int, k: int) -> tuple[int, int]:
     return j, comb(n, j).bit_length()
 
 
-def _key_bits(spec: SearchSpec) -> int:
-    """Bits of the widest packed key a candidate of the space can have."""
-    span = 0 if spec.n == 1 else 2 * spec.bound if spec.symmetric_only else spec.bound
+def check_listing(spec: SearchSpec) -> None:
+    """Refuse, before any work, a space whose candidates have too many k-sums,
+    or whose candidates and keys would hold more than ``MAX_LISTING_BYTES``."""
+    # MAX_SUMS also bounds _chunk_pairs' product alone: j + 1 levels of bins, each C(n, j).bit_length() wide.
+    check_sum_count(spec.n, spec.k)
     j, width = _key_arity(spec.n, spec.k)
-    return (j * span + 1) * width
+    span = 0 if spec.n == 1 else 2 * spec.bound if spec.symmetric_only else spec.bound
+    count, key_bits = _candidate_count(spec), (j * span + 1) * width  # the widest key
+    held = count * (256 + 32 * spec.n + key_bits // 8)
+    if held > MAX_LISTING_BYTES:
+        raise ValueError(
+            f"the search space has {approximate(count)} candidates of {spec.n} numerators each, with keys of up to"
+            f" {key_bits} bits; they would hold {approximate(held // 10**6)} MB, more than the"
+            f" {MAX_LISTING_BYTES // 10**6} MB allowed; lower the bound or n"
+        )
 
 
 def _chunk_pairs(args: tuple[int, int, Sequence[Numerators]]) -> list[Key]:
@@ -327,25 +333,7 @@ def find_collisions(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > 1 and (sys.platform != "linux" or not hasattr(os, "fork")):
         raise ValueError(f"{workers} workers need os.fork on Linux, which {sys.platform} does not offer; use 1 worker")
-    count = _candidate_count(spec)
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"the search space has {count} candidates, more than the {MAX_CANDIDATES} allowed;"
-            " lower the bound or n"
-        )
-    numerators = count * spec.n
-    if numerators > MAX_NUMERATORS:
-        raise ValueError(
-            f"the candidates of the search space hold {numerators} numerators, more than the"
-            f" {MAX_NUMERATORS} allowed; lower the bound or n"
-        )
-    check_sum_count(spec.n, spec.k)
-    key_bits = count * _key_bits(spec)
-    if key_bits > MAX_KEY_BITS:
-        raise ValueError(
-            f"the keys of the search space take up to {key_bits} bits, more than the"
-            f" {MAX_KEY_BITS} allowed; lower the bound"
-        )
+    check_listing(spec)
     den, stream = _candidates(spec)
     candidates = list(stream)
     chunks = [candidates[i : i + CHUNK_SIZE] for i in range(0, len(candidates), CHUNK_SIZE)]
@@ -353,28 +341,34 @@ def find_collisions(
     sizes = [len(chunk) for chunk in chunks]
     done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
+    sum_count = comb(spec.n, spec.k)
+    groups: dict[Key, list[Numerators]] = {}
+    pair_count = bucket_count = 0
     with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
         out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
         if out and not has_header:
             print(json.dumps({"header": _checkpoint_header(spec)}), file=out)
         results = stack.enter_context(closing(_keyed_chunks(spec.k, den, chunks, pending, workers)))
-        for chunk_id, keys in zip(pending, results):
-            done[chunk_id] = keys
-            if out:
+        # Candidates are bucketed as their keys arrive, so the bucket stage is refused
+        # as soon as its price passes the ceiling.
+        for chunk_id, keys in chain(done.items(), zip(pending, results)):
+            if out and chunk_id not in done:
                 print(json.dumps({"chunk": chunk_id, "keys": [format(key, "x") for key in keys]}), file=out)
-
-    groups: dict[Key, list[Numerators]] = {}
-    for chunk_id, chunk in enumerate(chunks):
-        for candidate, key in zip(chunk, done[chunk_id]):
-            groups.setdefault(key, []).append(candidate)
+            for candidate, key in zip(chunks[chunk_id], keys):
+                members = groups.setdefault(key, [])
+                if members:  # a pair with each earlier member; the bucket is shared from the second
+                    pair_count += len(members)
+                    bucket_count += len(members) == 1
+                members.append(candidate)
+            work = 125 * pair_count + bucket_count * sum_count
+            if work > MAX_BUCKET_WORK:
+                raise ValueError(
+                    f"the search space has at least {pair_count} pairs of candidates with equal {spec.k}-sums, in"
+                    f" {bucket_count} buckets of {sum_count} sums each, costing at least {work}, more than the"
+                    f" {MAX_BUCKET_WORK} allowed; lower the bound, n or k"
+                )
 
     shared = [members for members in groups.values() if len(members) > 1]
-    pair_count = sum(comb(len(members), 2) for members in shared)
-    if pair_count > MAX_PAIRS:
-        raise ValueError(
-            f"the search space has {pair_count} pairs of candidates with equal {spec.k}-sums,"
-            f" more than the {MAX_PAIRS} allowed; lower the bound or k"
-        )
     # Keys are chunk-independent, so one call keys every member of every shared bucket
     # again, to check that each bucket holds equal keys.
     rekeyed = iter(_chunk_pairs((spec.k, den, [c for members in shared for c in members])) if shared else ())

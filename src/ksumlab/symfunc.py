@@ -177,8 +177,7 @@ def e_expansion(p: int, k: int, n: int, set_s1_zero: bool) -> Poly:
             f"E{p} at k = {k} would cost {terms * top**2} (up to {terms} terms times {top}^2),"
             f" more than the {MAX_EXPANSION_COST} allowed; lower p or k"
         )
-    one = Poly.const(1)
-    return Poly.dot((comb(n - j, k - j), _onto_sums(p, j, set_s1_zero), one) for j in range(1, top + 1))
+    return sum((comb(n - j, k - j) * _onto_sums(p, j, set_s1_zero) for j in range(1, top + 1)), Poly.zero())
 
 
 def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:

@@ -10,7 +10,7 @@ import pytest
 
 import ksumlab
 from ksumlab import search
-from ksumlab.cli import main
+from ksumlab.cli import MAX_CERTIFY_BITS, main
 from ksumlab.multisets import MAX_SUMS, parse_multiset
 from ksumlab.search import collision_class_key
 
@@ -222,6 +222,37 @@ def test_eliminate_residuals_generic_set(capsys):
     assert out.splitlines()[-1] == "NONZERO RESIDUALS"
 
 
+def test_eliminate_prints_residuals_of_many_digits_in_full(capsys):
+    # twelve integers of 150 digits; their residuals run to thousands of digits,
+    # more than the interpreter converts to text by default
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    literal = " ".join(str(10**149 + i**143) for i in range(12))
+    code, out, err = run(capsys, "eliminate", "--residuals", literal)
+    assert code == 1 and "error" not in err
+    lines = out.splitlines()
+    assert len([l for l in lines if l.startswith("residual[")]) == 13
+    assert lines[-1] == "NONZERO RESIDUALS" and max(map(len, lines)) > 4300
+    if limit is not None:  # main restores the limit it lifts
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("option", ["--residuals", "--second-root"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        " ".join(str(10**3999 + i**3800) for i in range(12)),  # 4000 digits, about 13000 bits
+        " ".join(f"{v}/{7**4700}" for v in range(12)),  # small numerators over one of 13194 bits
+    ],
+    ids=["numerators", "denominator"],
+)
+def test_eliminate_refuses_numbers_too_long_to_certify_fast(capsys, option, literal):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eliminate", option, literal)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than the {MAX_CERTIFY_BITS} allowed" in err
+
+
 def test_search_general_records(capsys):
     code, out, err = run(capsys, "search", "-n", "4", "-k", "2", "-B", "7")
     assert code == 0
@@ -378,6 +409,15 @@ def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, worke
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n, k, bound", [("100000", "1", "100000"), ("5000", "2500", "0")])
+def test_search_refusals_quote_huge_counts_briefly(capsys, n, k, bound):
+    # C(199999, 99999) candidates and C(5000, 2500) sums have thousands of digits,
+    # which the CLI, lifting the interpreter's limit, would otherwise print in full
+    code, out, err = run(capsys, "search", "-n", n, "-k", k, "-B", bound)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "about 10^" in err and len(err) < 300
+
+
 @pytest.mark.parametrize("platform", ["darwin", "win32"])
 def test_search_workers_off_linux_is_a_usage_error(capsys, monkeypatch, platform):
     monkeypatch.setattr(sys, "platform", platform)
@@ -460,7 +500,8 @@ def test_search_over_too_many_numerators_is_a_usage_error(capsys, n, bound):
     code, out, err = run(capsys, "search", "-n", n, "-k", "1", "-B", bound)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error:") and f"more than the {search.MAX_NUMERATORS} allowed" in err
+    assert err.startswith("error:") and "numerators each" in err
+    assert f"more than the {search.MAX_LISTING_BYTES // 10**6} MB allowed" in err
 
 
 def test_largest_admitted_k_sums_succeed():

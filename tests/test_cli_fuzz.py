@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 from ksumlab.algebra import MAX_INDEX
 from ksumlab.cli import main
 from ksumlab.multisets import MAX_SUMS
-from ksumlab.search import (
-    MAX_CANDIDATES,
-    MAX_KEY_BITS,
-    MAX_NUMERATORS,
-    SearchSpec,
-    _candidate_count,
-    _key_bits,
-)
+from ksumlab.search import SearchSpec, _candidate_count, check_listing
 from ksumlab.symfunc import MAX_EXPANSION_COST, _term_bound
 
 # Admitted k-sum requests above this many sums are skipped, not because they
@@ -99,20 +92,14 @@ def search_argv(draw):
     symmetric = draw(st.booleans())
     try:
         spec = SearchSpec(n, k, bound, symmetric_only=symmetric)
+        check_listing(spec)
     except ValueError:
         pass  # refused before any work
     else:
-        # No guard bounds the k-sums built for the members of shared buckets,
-        # which grow with candidates x C(n, k), so only spaces that a guard
-        # refuses, or small ones, are run.
-        count, sums = _candidate_count(spec), comb(n, k)
-        refused = (
-            count > MAX_CANDIDATES
-            or count * n > MAX_NUMERATORS
-            or sums > MAX_SUMS
-            or count * _key_bits(spec) > MAX_KEY_BITS
-        )
-        assume(refused or count * sums <= FAST_SUMS)
+        # The bucket stage is priced only once the candidates are listed and
+        # keyed, which can take seconds, so of the spaces admitted before
+        # listing only small ones are run.
+        assume(_candidate_count(spec) * comb(n, k) <= FAST_SUMS)
     argv = ["search", "-n", str(n), "-k", str(k), "-B", str(bound), "--workers", "1"]
     argv += ["--symmetric"] if symmetric else []
     argv += ["--out", "{out}"] if draw(st.booleans()) else []

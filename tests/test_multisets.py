@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import (
+    MAX_DIGITS,
     MAX_SUMS,
     BadKError,
     affine_image,
@@ -64,6 +65,14 @@ def test_parse_refuses_oversized_literals_before_building_them(monkeypatch):
     assert parse_multiset("1 0^3 2") == (0, 0, 0, 1, 2)
     with pytest.raises(ValueError, match="more than the 5 elements"):
         parse_multiset("1 0^3 2 3")
+
+
+@pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/7", "0^{}"])
+def test_parse_refuses_numbers_of_too_many_digits(template):
+    with pytest.raises(ValueError, match=f"more than the {MAX_DIGITS} digits allowed"):
+        parse_multiset("2 " + template.format("1" * (MAX_DIGITS + 1)))
+    if "^" not in template:  # the bound is inclusive
+        assert len(parse_multiset(template.format("1" * MAX_DIGITS))) == 1
 
 
 def test_format_run_length():

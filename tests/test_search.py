@@ -601,17 +601,30 @@ def test_oversized_search_fails_fast(tmp_path):
             find_collisions(spec, checkpoint=str(ck))
     assert time.perf_counter() - start < 1
     assert not ck.exists()  # refused before the checkpoint is opened
-    largest = SearchSpec(n=12, k=4, bound=12, symmetric_only=True)
-    assert search._candidate_count(largest) == 18564 <= search.MAX_CANDIDATES
+    search.check_listing(SearchSpec(n=12, k=4, bound=12, symmetric_only=True))
 
 
 def test_spaces_of_too_many_numerators_fail_fast():
-    # admitted by every other guard, but their candidates would need several GB
+    # few candidates, but with so many numerators each that they would need several GB
     start = time.perf_counter()
     for spec in (SearchSpec(n=50000, k=1, bound=1), SearchSpec(n=706, k=1, bound=2)):
-        assert search._candidate_count(spec) <= search.MAX_CANDIDATES
+        assert search._candidate_count(spec) < 250_000
         with pytest.raises(ValueError, match="numerators"):
             find_collisions(spec)
     assert time.perf_counter() - start < 1
-    for spec in (SearchSpec(12, 4, 20, symmetric_only=True), SearchSpec(12, 4, 9), SearchSpec(3, 1, 700)):
-        assert search._candidate_count(spec) * spec.n <= search.MAX_NUMERATORS
+    for spec in (SearchSpec(12, 4, 20, symmetric_only=True), SearchSpec(12, 4, 9), SearchSpec(3, 1, 700),
+                 SearchSpec(200, 1, 2)):
+        search.check_listing(spec)
+
+
+def test_the_bucket_rule_refuses_before_any_k_sum_is_built(monkeypatch):
+    # 1540 candidates, listed and keyed at once; their 759 shared buckets would build
+    # C(20, 10) = 184756 sums each, about a minute of work
+    def no_sums(*args, **kwargs):
+        raise AssertionError("a k-sum multiset was built")
+
+    monkeypatch.setattr(search, "ksums", no_sums)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="pairs of candidates with equal 10-sums"):
+        find_collisions(SearchSpec(n=20, k=10, bound=3))
+    assert time.perf_counter() - start < 2
