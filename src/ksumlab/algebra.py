@@ -33,6 +33,7 @@ the key ints of their inputs.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, total_ordering
@@ -172,9 +173,6 @@ class Monomial:
 
     def exponent(self, var: Var) -> int:
         return (self.key >> _SHIFTS[_slot(var)]) & _EXP_MASK
-
-    def variables(self) -> tuple[Var, ...]:
-        return tuple(_VARS[slot] for slot, _ in _fields(self.key))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial._of(_checked(self.key + other.key))
@@ -536,63 +534,32 @@ def _term_text(mono: Monomial, coeff: Fraction) -> str:
     return f"{coeff}*{mono}"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+)|(\d+)|([SE]\d+)|(\^)|(\*)|(\+)|(-))")
+_FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([SE])(\d+)(?:\^(\d+))?)\s*")
 
 
 def _parse_poly(text: str) -> Poly:
-    """Parse the canonical rendering back into a polynomial."""
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:pos + 20]!r}")
-            break
-        tokens.append(match.group(match.lastindex))
-        pos = match.end()
-    if not tokens:
-        raise ValueError("empty polynomial text")
-
-    terms: dict[Monomial, Fraction] = {}
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign in polynomial text")
-        coeff = Fraction(1)
-        exponents: dict[Var, int] = {}
-        saw_factor = False
-        while True:
-            tok = tokens[i]
-            if tok[0] in "SE" and not tok[0].isdigit():
-                var = Var(tok[0], int(tok[1:]))
-                exp = 1
-                if i + 1 < n and tokens[i + 1] == "^":
-                    if i + 2 >= n or not tokens[i + 2].isdigit():
-                        raise ValueError(f"integer exponent expected after {tok}^")
-                    exp = int(tokens[i + 2])
-                    i += 2
-                exponents[var] = exponents.get(var, 0) + exp
-            else:
-                try:
-                    coeff *= Fraction(tok)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {tok!r}") from None
-            saw_factor = True
-            i += 1
-            if i < n and tokens[i] == "*":
-                i += 1
+    """Terms joined by ``+`` or ``-``, each rationals and variable powers joined by ``*``."""
+    parts = re.split(r"([+-])", text)  # terms at even places, their signs between them
+    if not parts[-1].strip():
+        raise ValueError("dangling sign in polynomial text" if text.strip() else "empty polynomial text")
+    terms: defaultdict[Monomial, Fraction] = defaultdict(Fraction)
+    sign = 1
+    for op, term in zip(["+", *parts[1::2]], parts[::2]):
+        sign = -sign if op == "-" else sign
+        if not term.strip():  # a leading sign, or one of a run of signs
+            continue
+        coeff, mono, sign = Fraction(sign), Monomial(), 1
+        for factor in term.split("*"):  # no operator is implied, so each factor matches whole
+            match = _FACTOR.fullmatch(factor)
+            if match is None:
+                raise ValueError(f"cannot parse polynomial term {term.strip()!r}")
+            rational, family, index, exp = match.groups()
+            if rational is None:
+                mono *= Monomial({Var(family, int(index)): int(exp or 1)})
                 continue
-            break
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
-        mono = Monomial(exponents)
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
+            try:
+                coeff *= Fraction(rational)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {rational!r}") from None
+        terms[mono] += coeff
     return Poly(terms)
-

@@ -118,18 +118,30 @@ class SumMultiset:
         return _power_sums(list(counts), self.denominator, m, list(counts.values()))
 
 
-def approximate(x: int) -> str:
-    """``x`` in decimal, or its power of ten once it has more than 30 digits, so
-    that a message quoting a count stays short however large the count."""
-    return str(x) if x < 10**30 else f"about 10^{int(x.bit_length() * log10(2))}"
+def comb_at_least(n: int, k: int) -> tuple[int, bool]:
+    """C(n, k) and True, or, when 20 < k < n - 20, the lower bound C(n, 20) and False.
+
+    C(10^6, 5 * 10^5) alone takes seconds to compute, while C(n, 20) past that
+    point is at least C(42, 20) > 5 * 10^11, which passes every ceiling on a count.
+    """
+    j = min(k, n - k)
+    return (comb(n, j), True) if j <= 20 else (comb(n, 20), False)
+
+
+def approximate(x: int, exact: bool = True) -> str:
+    """``x`` in decimal, or its power of ten once it has more than 30 digits or is
+    only a lower bound, so that a message quoting a count stays short and true."""
+    if exact and x < 10**30:
+        return str(x)
+    return f"{'' if exact else 'more than '}about 10^{int(x.bit_length() * log10(2))}"
 
 
 def check_sum_count(n: int, k: int) -> None:
     """Refuse, before any work, a request for more than ``MAX_SUMS`` k-sums."""
-    count = comb(n, k)
+    count, exact = comb_at_least(n, k)
     if count > MAX_SUMS:
         raise ValueError(
-            f"{n} elements have {approximate(count)} {k}-sums, more than the {MAX_SUMS} allowed;"
+            f"{n} elements have {approximate(count, exact)} {k}-sums, more than the {MAX_SUMS} allowed;"
             " lower n or k"
         )
 

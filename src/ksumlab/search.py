@@ -48,6 +48,7 @@ from .multisets import (
     centred_power_sums,
     check_sum_count,
     collision_class_key,
+    comb_at_least,
     ksums,
 )
 
@@ -87,11 +88,12 @@ class CollisionRecord:
     k: int
 
 
-def _candidate_count(spec: SearchSpec) -> int:
-    """Number of candidates in the search space, without enumerating it."""
+def _candidate_count(spec: SearchSpec) -> tuple[int, bool]:
+    """Number of candidates in the search space, without enumerating it, and
+    whether it is exact; see ``comb_at_least``."""
     if spec.symmetric_only:
-        return comb(spec.bound + spec.n // 2, spec.n // 2)
-    return comb(spec.bound + spec.n - 1, spec.n - 1)
+        return comb_at_least(spec.bound + spec.n // 2, spec.n // 2)
+    return comb_at_least(spec.bound + spec.n - 1, spec.n - 1)
 
 
 Numerators = tuple[int, ...]  # a candidate, over the denominator of its space
@@ -140,12 +142,12 @@ def check_listing(spec: SearchSpec) -> None:
     check_sum_count(spec.n, spec.k)
     j, width = _key_arity(spec.n, spec.k)
     span = 0 if spec.n == 1 else 2 * spec.bound if spec.symmetric_only else spec.bound
-    count, key_bits = _candidate_count(spec), (j * span + 1) * width  # the widest key
+    (count, exact), key_bits = _candidate_count(spec), (j * span + 1) * width  # the widest key
     held = count * (256 + 32 * spec.n + key_bits // 8)
     if held > MAX_LISTING_BYTES:
         raise ValueError(
-            f"the search space has {approximate(count)} candidates of {spec.n} numerators each, with keys of up to"
-            f" {key_bits} bits; they would hold {approximate(held // 10**6)} MB, more than the"
+            f"the search space has {approximate(count, exact)} candidates of {spec.n} numerators each, with keys"
+            f" of up to {key_bits} bits; they would hold {approximate(held // 10**6, exact)} MB, more than the"
             f" {MAX_LISTING_BYTES // 10**6} MB allowed; lower the bound or n"
         )
 

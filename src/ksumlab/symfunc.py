@@ -186,7 +186,8 @@ def e_power_sums(a: NumberMultiset, k: int, pmax: int) -> PowerSumVector:
 
 
 def load_identity_fixtures(lines: Iterable[str]) -> dict[int, Poly]:
-    """Parse fixture lines back into {p: polynomial}; '#' lines are comments."""
+    """Parse fixture lines back into {p: polynomial}; '#' lines are comments,
+    and each E_p may be defined once."""
     out: dict[int, Poly] = {}
     for raw in lines:
         line = raw.strip()
@@ -196,5 +197,8 @@ def load_identity_fixtures(lines: Iterable[str]) -> dict[int, Poly]:
         name = name.strip()
         if not name.startswith("E") or not name[1:].isdigit():
             raise ValueError(f"bad fixture line {line!r}")
-        out[int(name[1:])] = Poly.parse(body.strip())
+        p = int(name[1:])
+        if p in out:
+            raise ValueError(f"E{p} is defined twice")
+        out[p] = Poly.parse(body.strip())
     return out

@@ -121,11 +121,27 @@ def test_render_canonical_order():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("S", "2S", "S2 +", "S2 ** 2", "1.5*S2", ""):
+    for bad in ("S", "2S", "S2 +", "S2 ** 2", "1.5*S2", "", "S2*"):
         with pytest.raises(ValueError):
             Poly.parse(bad)
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         Poly.parse("1/0*S2^3")
+    # no operator is implied between factors or terms, and no sign sits inside a product
+    for bad in ("2 3", "S2 S3", "1/2 1/3*S2", "40*S3^2 - 120*S2 S4 + 90*S2^3", "S2*-3"):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            Poly.parse(bad)
+    with pytest.raises(ValueError, match="empty polynomial text"):
+        Poly.parse("  ")
+    with pytest.raises(ValueError, match="dangling sign"):
+        Poly.parse("S2 - -")
+
+
+def test_parse_accepts_signs_products_and_repeated_monomials():
+    assert Poly.parse("- -S2") == Poly.parse("+S2") == Poly.variable(svar(2))
+    assert Poly.parse("S2 - - S3") == Poly.parse("S2 + + S3") == Poly.parse("S2 + S3")
+    assert Poly.parse("S1*S1") == Poly.parse("S1^2")
+    assert Poly.parse("2*3/4*S2*E1") == Poly.parse("3/2*S2*E1")
+    assert Poly.parse("S2 + 2*S2 - 1/2*S2") == Poly.parse("5/2*S2")
 
 
 def test_parse_rational():

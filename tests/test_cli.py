@@ -169,7 +169,9 @@ def test_expand_fixture_override(tmp_path, capsys, monkeypatch):
 def test_expand_rejects_malformed_fixture(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.txt"
     monkeypatch.setenv("KSUMLAB_FIXTURES", str(bad))
-    for line, p in (("E2 = 120*S2^", "2"), ("E6 = 1/0*S2^3", "6")):
+    typo = "E6 = 40*S3^2 - 120*S2 S4 + 90*S2^3"  # a missing '*', which is no '+'
+    duplicate = "E6 = 40*S3^2 - 120*S2*S4 + 90*S2^3\nE6 = 0"
+    for line, p in (("E2 = 120*S2^", "2"), ("E6 = 1/0*S2^3", "6"), (typo, "6"), (duplicate, "6")):
         bad.write_text(line + "\n")
         code, out, err = run(capsys, "expand", p, "--check-fixtures")
         assert code == 2
@@ -413,9 +415,28 @@ def test_search_rejects_bad_workers_and_oversized_spaces(capsys, n, bound, worke
 def test_search_refusals_quote_huge_counts_briefly(capsys, n, k, bound):
     # C(199999, 99999) candidates and C(5000, 2500) sums have thousands of digits,
     # which the CLI, lifting the interpreter's limit, would otherwise print in full
+    start = time.perf_counter()
     code, out, err = run(capsys, "search", "-n", n, "-k", k, "-B", bound)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and "about 10^" in err and len(err) < 300
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ksums", "@{sets}", "-k", "4"), "ksums expects exactly one set"),
+        (("collide", "@{sets}", FIRST, "-k", "4"), "collide expects exactly two sets"),  # three sets
+        (("expand", "27", "--check-fixtures"), "no fixture for p=27"),
+        (("eliminate", "--residuals", "@{sets}"), "expected exactly one set"),
+    ],
+)
+def test_wrong_set_counts_and_missing_fixtures_are_usage_errors(capsys, tmp_path, argv, message):
+    sets = tmp_path / "sets.txt"
+    sets.write_text(f"{FIRST}\n{SECOND}\n")
+    code, out, err = run(capsys, *(arg.format(sets=sets) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("platform", ["darwin", "win32"])
@@ -469,13 +490,17 @@ def test_python_dash_m_runs_the_cli():
         ("ksums", "0^40", "-k", "20"),
         ("collide", "0^40", "0^40", "-k", "20"),
         ("search", "-n", "40", "-k", "20", "-B", "0"),  # one candidate, C(40, 20) sums
+        # C(10^6, 5 * 10^5) alone takes seconds to compute; the refusal needs only C(10^6, 20)
+        ("ksums", "0^1000000", "-k", "500000"),
+        ("search", "-n", "1000000", "-k", "500000", "-B", "0"),
     ],
 )
-def test_oversized_k_sums_fail_fast(argv):
-    result = run_module(*argv, timeout=5)
-    assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr.startswith("error:") and "137846528820" in result.stderr
-    assert "Traceback" not in result.stderr
+def test_oversized_k_sums_fail_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "137846528820 20-sums" in err or "more than about 10^101 500000-sums" in err
 
 
 @pytest.mark.parametrize(
@@ -494,7 +519,7 @@ def test_oversized_set_literals_fail_fast(capsys, argv):
     assert err.startswith("error:") and f"more than the {MAX_SUMS} elements allowed" in err
 
 
-@pytest.mark.parametrize("n, bound", [("50000", "1"), ("706", "2")])
+@pytest.mark.parametrize("n, bound", [("50000", "1"), ("706", "2"), ("100000", "100000")])
 def test_search_over_too_many_numerators_is_a_usage_error(capsys, n, bound):
     start = time.perf_counter()
     code, out, err = run(capsys, "search", "-n", n, "-k", "1", "-B", bound)

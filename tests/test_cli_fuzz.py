@@ -99,7 +99,7 @@ def search_argv(draw):
         # The bucket stage is priced only once the candidates are listed and
         # keyed, which can take seconds, so of the spaces admitted before
         # listing only small ones are run.
-        assume(_candidate_count(spec) * comb(n, k) <= FAST_SUMS)
+        assume(_candidate_count(spec)[0] * comb(n, k) <= FAST_SUMS)
     argv = ["search", "-n", str(n), "-k", str(k), "-B", str(bound), "--workers", "1"]
     argv += ["--symmetric"] if symmetric else []
     argv += ["--out", "{out}"] if draw(st.booleans()) else []

@@ -14,9 +14,11 @@ from ksumlab.multisets import (
     MAX_SUMS,
     BadKError,
     affine_image,
+    approximate,
     as_multiset,
     centred_power_sums,
     collision_class_key,
+    comb_at_least,
     format_multiset,
     format_runs,
     ksums,
@@ -145,6 +147,17 @@ def test_ksums_refuses_oversized_requests_before_any_work():
     with pytest.raises(ValueError, match="137846528820"):
         ksums(as_multiset([0] * 40), 20)
     assert comb(22, 11) <= MAX_SUMS < comb(40, 20)
+
+
+def test_comb_at_least_is_exact_to_twenty_and_past_every_ceiling_beyond():
+    for n in range(70):
+        for k in range(n + 1):
+            count, exact = comb_at_least(n, k)
+            assert exact == (min(k, n - k) <= 20)
+            assert count == comb(n, k) if exact else comb(42, 20) <= count < comb(n, k)
+    assert approximate(comb(40, 20)) == "137846528820"
+    assert approximate(comb(42, 20), exact=False) == "more than about 10^11"
+    assert approximate(10**40) == "about 10^40"
 
 
 def test_centred_power_sums_examples():

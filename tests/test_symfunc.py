@@ -326,6 +326,8 @@ def test_fixture_lines_round_trip():
         assert poly == e_expansion(p, 4, 12, True)
     with pytest.raises(ValueError):
         load_identity_fixtures(["F2 = 120*S2"])
+    with pytest.raises(ValueError, match="E2 is defined twice"):
+        load_identity_fixtures(["E2 = 120*S2", "# a later line would win", "E2 = 121*S2"])
 
 
 # sha256 of the newline-joined renders, recorded from the Fraction-keyed
