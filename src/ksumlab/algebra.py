@@ -28,6 +28,19 @@ in S_1..S_12 multiplies on keys of about 100 bits instead of about 1030.
 and the ``_onto_sums`` recurrence in ``symfunc``.  Sums such as
 ``e_expansion``'s go through ``+`` and scalar ``*`` instead, which keep
 the key ints of their inputs.
+
+Evaluation.  ``evaluate`` and ``evaluate_weighted`` take a batch of
+polynomials and one point, and ``Poly.evaluate``/``evaluate_weighted`` are
+batches of one.  A batch binds each variable once and fills one table of
+powers and products of powers, shared by all its polynomials, as their
+plans ask for them.  A plan is built on first use for the grade asked for
+(degree, or weight: S_i and E_i have weight i) and kept with the
+polynomial.  It groups the terms by grade and then by leading power, the
+power of the variable in the highest slot, which is the widest int on
+weighted input.  A term costs one product, its numerator times the
+product of its other powers from the table, and each group's sum is
+multiplied by its leading power once.  ``variables()`` reads the keys and
+builds no plan.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from fractions import Fraction
 from functools import reduce, total_ordering
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -60,6 +73,8 @@ _SLOTS = len(_FAMILY_RANK) * MAX_INDEX
 _EXP_MASK = MAX_DEGREE
 _DEGREE_SHIFT = _SLOTS * EXP_BITS
 _BODY_MASK = (1 << _DEGREE_SHIFT) - 1
+_CODE_BITS = (_SLOTS << EXP_BITS).bit_length() - 1  # a code slot << EXP_BITS | exp fits in it
+_CODE_MASK = (1 << _CODE_BITS) - 1
 
 
 def over_common_denominator(values: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -200,6 +215,33 @@ class Monomial:
         return f"Monomial({self})"
 
 
+class _Plan(NamedTuple):
+    """A polynomial's terms laid out for evaluation by one grade.
+
+    Each term is split into its leading power, that of the variable in its
+    highest slot, and the product of its other powers, taken in ascending
+    slots.  A product of powers is named by an id: the power var**exp by its
+    code ``slot << EXP_BITS | exp``, a product times one more power by the
+    product's id shifted up by ``_CODE_BITS`` plus that power's code, and the
+    empty product, 1, by 0.  Ids are the same in every plan, so a batch makes
+    each product that several of its polynomials share once; and ascending
+    ids make each product after the shorter one it extends, as a product of
+    r powers has an id below ``2 ** (r * _CODE_BITS)``.
+    """
+
+    slots: list[int]  # the slots of all variables, ascending
+    powers: frozenset[int]  # the code of every power the terms hold
+    products: list[int]  # the id of every product of two or more powers the terms need, ascending
+    grades: list[tuple[int, list[tuple[int, list[tuple[int, int]]]]]]
+    """Per grade, highest first, the (numerator, product id) of the terms
+    grouped by their leading power's code."""
+
+
+def _slots(num: dict[int, int]) -> list[int]:
+    """The slots of the variables that the keys of ``num`` hold, ascending."""
+    return [slot for slot, _ in _fields(reduce(or_, num, 0))]
+
+
 def _top_degree(num: dict[int, int]) -> int:
     return max(num) >> _DEGREE_SHIFT if num else 0
 
@@ -212,7 +254,7 @@ class Poly:
     polynomial has no terms and denominator 1.
     """
 
-    __slots__ = ("_num", "_den", "_terms", "_decoded")
+    __slots__ = ("_num", "_den", "_terms", "_plans")
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
         terms = dict(terms)
@@ -231,7 +273,7 @@ class Poly:
         self._num = num
         self._den = den
         self._terms: dict[Monomial, Fraction] | None = None
-        self._decoded: tuple | None = None
+        self._plans: dict[int, _Plan] | None = None
 
     @classmethod
     def _make(cls, num: dict[int, int], den: int) -> "Poly":
@@ -276,7 +318,7 @@ class Poly:
         return _top_degree(self._num) if self._num else -1
 
     def variables(self) -> set[Var]:
-        return {_VARS[slot] for slot in self._decoded_terms()[1]}
+        return {_VARS[slot] for slot in _slots(self._num)}
 
     def collect(self, var: Var) -> dict[int, "Poly"]:
         """Split by powers of ``var``: ``{e: c_e}`` with ``self`` equal to the
@@ -435,72 +477,42 @@ class Poly:
             terms.append((1, image, Poly._make({k - offset: v for k, v in num.items()}, self._den)))
         return Poly.dot(terms)
 
-    def _decoded_terms(self) -> tuple[list[tuple[int, tuple[int, int], tuple[int, ...]]], list[int], set[int]]:
-        """(numerator, (degree, weight), codes) per term, where a code is
-        ``slot << EXP_BITS | exp`` and the weight counts each variable's
-        index once per exponent; the slots of all variables; all codes."""
-        if self._decoded is None:
-            terms = []
-            for k, v in self._num.items():
-                fields = list(_fields(k))
-                weight = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields)
-                terms.append((v, (k >> _DEGREE_SHIFT, weight), tuple(slot << EXP_BITS | exp for slot, exp in fields)))
-            union = 0
-            for key in self._num:
-                union |= key
-            codes = {code for _, _, term_codes in terms for code in term_codes}
-            self._decoded = (terms, [slot for slot, _ in _fields(union)], codes)
-        return self._decoded
-
-    def _bound_values(self, values: Mapping[Var, RationalLike]) -> tuple[list[int], list[RationalLike]]:
-        """The slots of all variables and their values; every one must be bound."""
-        slots = self._decoded_terms()[1]
-        try:
-            return slots, [values[_VARS[slot]] for slot in slots]
-        except KeyError as unbound:
-            raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
-
-    def _over_scale(self, ints: list[int], slots: list[int], scale: int, grade: int) -> Fraction:
-        """The value at ``ints[i] / scale**g`` for the variable in ``slots[i]``,
-        where g is 1 (``grade`` 0: by degree) or the variable's index (``grade``
-        1: by weight).  The one evaluation loop: the sum runs over ints with
-        one power table per call, per grade first, since a term of grade d
-        carries ``scale**d`` in its denominator."""
-        terms, _, codes = self._decoded_terms()
-        if not terms:
-            return Fraction(0)
-        values = dict(zip(slots, ints))
-        power = {code: values[code >> EXP_BITS] ** (code & _EXP_MASK) for code in codes}
-        by_grade: dict[int, int] = {}
-        for num, grades, term_codes in terms:
-            for code in term_codes:
-                num *= power[code]
-            g = grades[grade]
-            by_grade[g] = by_grade.get(g, 0) + num
-        top = max(by_grade)
-        total = sum(s * scale ** (top - g) for g, s in by_grade.items())
-        return Fraction(total, self._den * scale**top)
+    def _plan(self, grade: int) -> _Plan:
+        """The plan by ``grade``, 0 (degree) or 1 (weight: each variable's
+        index once per exponent), built on first use."""
+        if self._plans is None:
+            self._plans = {}
+        plan = self._plans.get(grade)
+        if plan is None:
+            groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
+            powers: set[int] = set()
+            products: set[int] = set()
+            for key, v in self._num.items():
+                fields = list(_fields(key))
+                g = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields) if grade else key >> _DEGREE_SHIFT
+                codes = [slot << EXP_BITS | exp for slot, exp in fields] or [0]
+                powers.update(codes)
+                rest = 0
+                for code in codes[:-1]:
+                    rest = rest << _CODE_BITS | code
+                    products.add(rest)
+                groups.setdefault(g, {}).setdefault(codes[-1], []).append((v, rest))
+            powers.discard(0)
+            plan = self._plans[grade] = _Plan(
+                _slots(self._num),
+                frozenset(powers),
+                sorted(rest for rest in products if rest >> _CODE_BITS),
+                [(g, list(groups[g].items())) for g in sorted(groups, reverse=True)],
+            )
+        return plan
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
-        """Exact value of the polynomial; every variable must be bound.
-
-        The values are brought to one denominator ``scale``, which a term
-        of degree d carries to the power d.
-        """
-        slots, bound = self._bound_values(values)
-        nums, scale = over_common_denominator([Fraction(v) for v in bound])
-        return self._over_scale(nums, slots, scale, 0)
+        """Exact value of the polynomial; every variable must be bound."""
+        return evaluate([self], values)[0]
 
     def evaluate_weighted(self, numerators: Mapping[Var, int], scale: int) -> Fraction:
-        """Exact value at ``numerators[v] / scale**i`` for each variable v of index i.
-
-        S_i and E_i have weight i, and so does a power sum of i-th powers:
-        power sums of numbers over a common denominator ``scale`` are
-        integers over ``scale**i``.  A polynomial of weight w then needs one
-        division by ``scale**w``, and no common denominator is formed.
-        """
-        slots, bound = self._bound_values(numerators)
-        return self._over_scale(bound, slots, scale, 1)
+        """Exact value at ``numerators[v] / scale**i`` for each variable v of index i."""
+        return evaluate_weighted([self], numerators, scale)[0]
 
     # -- rendering and parsing ---------------------------------------------
 
@@ -524,6 +536,76 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
+
+
+def _bind(
+    polys: Sequence[Poly], grade: int, values: Mapping[Var, RationalLike]
+) -> tuple[list[_Plan], dict[int, RationalLike]]:
+    """Each polynomial's plan by ``grade``, and the value bound to every slot they use."""
+    plans = [poly._plan(grade) for poly in polys]
+    slots = sorted(set().union(*[plan.slots for plan in plans]))
+    try:
+        return plans, {slot: values[_VARS[slot]] for slot in slots}
+    except KeyError as unbound:
+        raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
+
+
+def _over_scale(polys: Sequence[Poly], plans: list[_Plan], ints: dict[int, int], scale: int) -> list[Fraction]:
+    """Each polynomial's value at ``ints[slot] / scale**g`` for the variable in
+    each slot, where g is 1 on plans by degree and the variable's index on
+    plans by weight.
+
+    The one evaluation loop.  One table, from the ids of products of powers
+    to their values, serves the whole batch and is filled as the plans ask.
+    Each term costs one product, its numerator times the product of its
+    other powers; each group's sum is multiplied by its leading power, the
+    widest int on weighted input, once.  The grades are summed apart, as a
+    term of grade d carries ``scale**d`` in its denominator.
+    """
+    table = {0: 1}
+    out = []
+    for poly, (_, powers, products, grades) in zip(polys, plans):
+        for code in powers - table.keys():
+            table[code] = ints[code >> EXP_BITS] ** (code & _EXP_MASK)
+        for rest in products:
+            if rest not in table:
+                table[rest] = table[rest >> _CODE_BITS] * table[rest & _CODE_MASK]
+        sums = []
+        for g, groups in grades:
+            total = 0
+            for lead, terms in groups:
+                inner = 0
+                for num, rest in terms:
+                    inner += num * table[rest]
+                total += inner * table[lead]
+            sums.append((g, total))
+        top = sums[0][0] if sums else 0
+        out.append(Fraction(sum(s * scale ** (top - g) for g, s in sums), poly._den * scale**top))
+    return out
+
+
+def evaluate(polys: Sequence[Poly], values: Mapping[Var, RationalLike]) -> list[Fraction]:
+    """The exact value of each polynomial; every variable must be bound.
+
+    The values are brought to one denominator ``scale``, which a term of
+    degree d carries to the power d.
+    """
+    plans, bound = _bind(polys, 0, values)
+    nums, scale = over_common_denominator([Fraction(v) for v in bound.values()])
+    return _over_scale(polys, plans, dict(zip(bound, nums)), scale)
+
+
+def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scale: int) -> list[Fraction]:
+    """The exact value of each polynomial at ``numerators[v] / scale**i`` for
+    each variable v of index i.
+
+    S_i and E_i have weight i, and so does a power sum of i-th powers:
+    power sums of numbers over a common denominator ``scale`` are integers
+    over ``scale**i``.  A polynomial of weight w then needs one division by
+    ``scale**w``, and no common denominator is formed.
+    """
+    plans, bound = _bind(polys, 1, numerators)
+    return _over_scale(polys, plans, bound, scale)
 
 
 def _term_text(mono: Monomial, coeff: Fraction) -> str:

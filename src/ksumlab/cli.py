@@ -54,8 +54,8 @@ NEGATIVE = 1
 OK = 0
 
 # The residuals take time that grows with the bit length of the centred numerators
-# and of their denominator: about 0.5 s at 500 bits (12 integers of 150 digits),
-# 1.4 s at 1000, 3.3 s at 1700, and 15 to 40 s over a denominator of 13200 bits.
+# and of their denominator: about 0.15 s at 500 bits (12 integers of 150 digits),
+# 0.35 s at 1000, 0.7 s at 1660, and 2.6 to 46 s over a denominator of 13200 bits.
 MAX_CERTIFY_BITS = 1024
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Monomial, Poly, Var, evar, svar
+from .algebra import Monomial, Poly, Var, evaluate, evaluate_weighted, evar, svar
 from .multisets import PowerSumVector
 from .symfunc import BadRangeError, _newton, e_expansion
 
@@ -169,11 +169,8 @@ def quadratic_at(evalues: PowerSumVector) -> tuple[Fraction, Fraction, Fraction]
     if evalues.upto < quad.index:
         raise BadRangeError(f"E{quad.index} value required to form the quadratic")
     values = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
-    return (
-        quad.c2.evaluate(values),
-        quad.c1.evaluate(values),
-        quad.c0.evaluate(values) - evalues[quad.index],
-    )
+    a, b, c = evaluate([quad.c2, quad.c1, quad.c0], values)
+    return a, b, c - evalues[quad.index]
 
 
 def exact_sqrt(q: Fraction) -> Fraction | None:
@@ -202,10 +199,10 @@ def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ..
 def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fraction:
     """The other root -c1/c2 - S_free of the quadratic at these E-values."""
     quad = fourteenth_quadratic()
-    c2 = quad.c2.evaluate(evalues)
+    c2, c1 = evaluate([quad.c2, quad.c1], evalues)
     if c2 == 0:
         raise ZeroDivisionError("second root undefined when S_2 = 0")
-    return -quad.c1.evaluate(evalues) / c2 - s_free
+    return -c1 / c2 - s_free
 
 
 def _integer_root(x: int, w: int) -> int:
@@ -262,7 +259,7 @@ def _evalues(values: Sequence[Fraction], indices: Iterable[int]) -> dict[Var, Fr
     extended as in _weighted_power_sums): E_i for each i of ``indices``."""
     indices = list(indices)
     nums, scale = _weighted_power_sums(values, max(indices))
-    return {evar(i): identity_poly(i).evaluate_weighted(nums, scale) for i in indices}
+    return dict(zip(map(evar, indices), evaluate_weighted([identity_poly(i) for i in indices], nums, scale)))
 
 
 def second_root(s: PowerSumVector) -> Fraction:
@@ -327,7 +324,7 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     free = svar(tables.free)
     at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
     indices = residual_equation_indices()
-    dual_evalues = _evalues([expr.evaluate(at_second) for expr in tables.power_sums], indices)
+    dual_evalues = _evalues(evaluate(tables.power_sums, at_second), indices)
     return [evalues[evar(p)] - dual_evalues[evar(p)] for p in indices]
 
 

@@ -316,15 +316,16 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
     return done, intact > 0
 
 
-def _runs_key(ascending: Sequence[int], scale: int) -> tuple[tuple[int, int], ...]:
-    """``(v * scale, -count)`` for each run of equal values in ``ascending``.
+def _runs_key(ascending: Sequence[int], scale: int) -> tuple[int, ...]:
+    """``v * scale, -count`` for each run of equal values in ``ascending``, in
+    one flat tuple, which holds no tuple per run.
 
     Ascending sequences of one length sort by it as they sort themselves: at
     the first run where two differ, the lesser value comes first in both, and
     of two equal values the longer run, as its sequence then holds that value
     where the other holds a larger one.
     """
-    return tuple((v * scale, -sum(1 for _ in run)) for v, run in groupby(ascending))
+    return tuple(chain.from_iterable((v * scale, -sum(1 for _ in run)) for v, run in groupby(ascending)))
 
 
 def find_collisions(

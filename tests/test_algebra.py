@@ -13,6 +13,8 @@ from ksumlab.algebra import (
     Poly,
     UnboundVariableError,
     Var,
+    evaluate,
+    evaluate_weighted,
     evar,
     svar,
 )
@@ -101,6 +103,10 @@ def test_evaluate_examples():
 def test_evaluate_requires_all_variables():
     with pytest.raises(UnboundVariableError):
         Poly.parse("S3^2 - S6").evaluate({svar(3): 3})
+    with pytest.raises(UnboundVariableError) as caught:
+        Poly.parse("S3^2 - S6 + E2").evaluate_weighted({svar(3): 1, svar(6): 1}, 2)
+    assert str(caught.value) == "'no value bound for E2'"
+    assert evaluate([], {}) == evaluate_weighted([], {}, 3) == []
 
 
 def test_evaluate_weighted_examples():
@@ -249,6 +255,82 @@ def test_evaluate_does_not_grow_the_heap():
     for _ in range(2000):
         p.evaluate(values)
     assert sys.getallocatedblocks() - before < 200
+
+
+# -- batch evaluation against a Fraction oracle --------------------------------
+
+_BATCH_VARS = [svar(1), svar(2), svar(7), svar(12), evar(1), evar(4), evar(26)]
+
+
+def oracle_value(poly: Poly, values) -> Fraction:
+    """The value as a Fraction sum over the public term view, term by term."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for var, exp in mono.pairs:
+            term *= Fraction(values[var]) ** exp
+        total += term
+    return total
+
+
+@st.composite
+def batch_polys(draw):
+    """Zero, constant or mixed-degree polynomials in S and E variables."""
+    kind = draw(st.sampled_from(["zero", "constant", "mixed"]))
+    if kind == "zero":
+        return Poly.zero()
+    if kind == "constant":
+        return Poly.const(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        variables = draw(st.sets(st.sampled_from(_BATCH_VARS), max_size=4))
+        mono = Monomial({v: draw(st.integers(1, 4)) for v in variables})
+        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+    return Poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_polys(), max_size=6), st.data())
+def test_batch_evaluate_matches_a_fraction_oracle(batch, data):
+    values = {v: data.draw(st.fractions(max_denominator=12)) for v in _BATCH_VARS}
+    got = evaluate(batch, values)
+    assert got == [oracle_value(p, values) for p in batch]
+    assert got == [p.evaluate(values) for p in batch]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_polys(), max_size=6), st.data())
+def test_batch_evaluate_weighted_matches_a_fraction_oracle(batch, data):
+    numerators = {v: data.draw(st.integers(-10**6, 10**6)) for v in _BATCH_VARS}
+    scale = data.draw(st.integers(1, 50))
+    values = {v: Fraction(n, scale**v.index) for v, n in numerators.items()}
+    got = evaluate_weighted(batch, numerators, scale)
+    assert got == [oracle_value(p, values) for p in batch]
+    assert got == [p.evaluate_weighted(numerators, scale) for p in batch]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_polys(), min_size=1, max_size=4), st.sets(st.sampled_from(_BATCH_VARS)))
+def test_batch_evaluation_names_the_first_unbound_variable(batch, bound):
+    unbound = {v for p in batch for v in p.variables()} - bound
+    for call in (lambda: evaluate(batch, {v: Fraction(1, 3) for v in bound}),
+                 lambda: evaluate_weighted(batch, {v: 5 for v in bound}, 7)):
+        if not unbound:
+            assert len(call()) == len(batch)
+            continue
+        with pytest.raises(UnboundVariableError) as caught:
+            call()
+        assert caught.value.args == (f"no value bound for {min(unbound)}",)
+
+
+def test_plans_are_built_by_evaluation_only_per_grade():
+    p = Poly.parse("3/7*S2^3*E5 - 5*S2^2*E5 + 1/3*E2*S12 + 2")
+    assert p.variables() == {svar(2), svar(12), evar(2), evar(5)}
+    assert p._plans is None  # the symbolic build asks for variables, never for values
+    p.evaluate({v: Fraction(1, 3) for v in p.variables()})
+    assert set(p._plans) == {0}
+    p.evaluate_weighted({v: 2 for v in p.variables()}, 5)
+    assert set(p._plans) == {0, 1}
 
 
 # -- the product kernel against a schoolbook oracle ---------------------------

@@ -1,5 +1,6 @@
 """Elimination pipeline: tables, the S_6 quadratic, roots, residuals."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -361,3 +362,29 @@ def test_residual_preconditions():
 
 def test_nonlinear_pivot_error_is_runtime_error():
     assert issubclass(NonLinearPivotError, RuntimeError)
+
+
+# sha256 of the residual_relations and second_root values, in hex, over the sets
+# of certification_inputs(), taken with the evaluation kernel that evaluated one
+# polynomial per call and multiplied every term by each of its powers.
+CERTIFICATION_DIGEST = "d41f085febfb20795803110f9e21f93507ec4dad00ccb038e0162889cc966865"
+
+
+def certification_inputs():
+    """100 seeded 12-sets in [-9, 9], the known pair, the demo set and twelve 300-digit integers."""
+    rng = random.Random(2020)
+    sets = []
+    while len(sets) < 100:
+        values = [rng.randint(-9, 9) for _ in range(12)]
+        if len(set(values)) > 1:
+            sets.append(values)
+    return [*sets, COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET, [10**299 + i**287 for i in range(12)]]
+
+
+def test_certification_outputs_match_their_digest():
+    digest = hashlib.sha256()
+    for values in certification_inputs():
+        s = centred_power_sums(values, 12)
+        for q in (*residual_relations(s), second_root(s)):
+            digest.update(f"{q.numerator:x}/{q.denominator:x};".encode())
+    assert digest.hexdigest() == CERTIFICATION_DIGEST
