@@ -31,16 +31,18 @@ the key ints of their inputs.
 
 Evaluation.  ``evaluate`` and ``evaluate_weighted`` take a batch of
 polynomials and one point, and ``Poly.evaluate``/``evaluate_weighted`` are
-batches of one.  A batch binds each variable once and fills one table of
-powers and products of powers, shared by all its polynomials, as their
-plans ask for them.  A plan is built on first use for the grade asked for
+batches of one.  A plan is built on first use for the grade asked for
 (degree, or weight: S_i and E_i have weight i) and kept with the
-polynomial.  It groups the terms by grade and then by leading power, the
-power of the variable in the highest slot, which is the widest int on
-weighted input.  A term costs one product, its numerator times the
-product of its other powers from the table, and each group's sum is
-multiplied by its leading power once.  ``variables()`` reads the keys and
-builds no plan.
+polynomial.  It holds the ascending ids of every power and product of
+powers its terms need, where a power's id is its code and a product's id
+extends the id of the product one power shorter, and the terms grouped
+by grade and then by leading power, the power of the variable in the
+highest slot, which is the widest int on weighted input.  A batch binds
+the variable of each power among its plans' ids once, and fills one
+table, shared by all its polynomials, in one ascending pass over those
+ids.  A term costs one product, its numerator times the product of its
+other powers from the table, and each group's sum is multiplied by its
+leading power once.  ``variables()`` reads the keys and builds no plan.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import reduce, total_ordering
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -215,33 +217,6 @@ class Monomial:
         return f"Monomial({self})"
 
 
-class _Plan(NamedTuple):
-    """A polynomial's terms laid out for evaluation by one grade.
-
-    Each term is split into its leading power, that of the variable in its
-    highest slot, and the product of its other powers, taken in ascending
-    slots.  A product of powers is named by an id: the power var**exp by its
-    code ``slot << EXP_BITS | exp``, a product times one more power by the
-    product's id shifted up by ``_CODE_BITS`` plus that power's code, and the
-    empty product, 1, by 0.  Ids are the same in every plan, so a batch makes
-    each product that several of its polynomials share once; and ascending
-    ids make each product after the shorter one it extends, as a product of
-    r powers has an id below ``2 ** (r * _CODE_BITS)``.
-    """
-
-    slots: list[int]  # the slots of all variables, ascending
-    powers: frozenset[int]  # the code of every power the terms hold
-    products: list[int]  # the id of every product of two or more powers the terms need, ascending
-    grades: list[tuple[int, list[tuple[int, list[tuple[int, int]]]]]]
-    """Per grade, highest first, the (numerator, product id) of the terms
-    grouped by their leading power's code."""
-
-
-def _slots(num: dict[int, int]) -> list[int]:
-    """The slots of the variables that the keys of ``num`` hold, ascending."""
-    return [slot for slot, _ in _fields(reduce(or_, num, 0))]
-
-
 def _top_degree(num: dict[int, int]) -> int:
     return max(num) >> _DEGREE_SHIFT if num else 0
 
@@ -273,7 +248,7 @@ class Poly:
         self._num = num
         self._den = den
         self._terms: dict[Monomial, Fraction] | None = None
-        self._plans: dict[int, _Plan] | None = None
+        self._plans: dict[int, tuple[list[int], list]] | None = None
 
     @classmethod
     def _make(cls, num: dict[int, int], den: int) -> "Poly":
@@ -318,7 +293,7 @@ class Poly:
         return _top_degree(self._num) if self._num else -1
 
     def variables(self) -> set[Var]:
-        return {_VARS[slot] for slot in _slots(self._num)}
+        return {_VARS[slot] for slot, _ in _fields(reduce(or_, self._num, 0))}
 
     def collect(self, var: Var) -> dict[int, "Poly"]:
         """Split by powers of ``var``: ``{e: c_e}`` with ``self`` equal to the
@@ -477,33 +452,44 @@ class Poly:
             terms.append((1, image, Poly._make({k - offset: v for k, v in num.items()}, self._den)))
         return Poly.dot(terms)
 
-    def _plan(self, grade: int) -> _Plan:
+    def _plan(self, grade: int) -> tuple[list[int], list]:
         """The plan by ``grade``, 0 (degree) or 1 (weight: each variable's
-        index once per exponent), built on first use."""
+        index once per exponent), built on first use.
+
+        Each term is split into its leading power, that of the variable in
+        its highest slot, and the product of its other powers, taken in
+        ascending slots.  A product of powers is named by an id: a power
+        var**exp, the product of one power, by its code
+        ``slot << EXP_BITS | exp``, below ``1 << _CODE_BITS``; a product times
+        one more power by the product's id shifted up by ``_CODE_BITS`` plus
+        that power's code; and the empty product, 1, by 0.  The plan holds
+        the ids of every power and product of powers its terms need,
+        ascending, and per grade, highest first, the (numerator, product id)
+        of the terms grouped by their leading power's id.  Ids are the same
+        in every plan, so a batch makes each product that several of its
+        polynomials share once; and ascending ids make each product after
+        the shorter one it extends, as a product of r powers has an id below
+        ``2 ** (r * _CODE_BITS)``.
+        """
         if self._plans is None:
             self._plans = {}
         plan = self._plans.get(grade)
         if plan is None:
             groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
-            powers: set[int] = set()
-            products: set[int] = set()
+            ids: set[int] = set()
             for key, v in self._num.items():
                 fields = list(_fields(key))
                 g = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields) if grade else key >> _DEGREE_SHIFT
                 codes = [slot << EXP_BITS | exp for slot, exp in fields] or [0]
-                powers.update(codes)
+                ids.update(codes)
                 rest = 0
                 for code in codes[:-1]:
                     rest = rest << _CODE_BITS | code
-                    products.add(rest)
+                    ids.add(rest)
                 groups.setdefault(g, {}).setdefault(codes[-1], []).append((v, rest))
-            powers.discard(0)
-            plan = self._plans[grade] = _Plan(
-                _slots(self._num),
-                frozenset(powers),
-                sorted(rest for rest in products if rest >> _CODE_BITS),
-                [(g, list(groups[g].items())) for g in sorted(groups, reverse=True)],
-            )
+            ids.discard(0)
+            grades = [(g, list(groups[g].items())) for g in sorted(groups, reverse=True)]
+            plan = self._plans[grade] = sorted(ids), grades
         return plan
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
@@ -540,36 +526,43 @@ class Poly:
 
 def _bind(
     polys: Sequence[Poly], grade: int, values: Mapping[Var, RationalLike]
-) -> tuple[list[_Plan], dict[int, RationalLike]]:
-    """Each polynomial's plan by ``grade``, and the value bound to every slot they use."""
+) -> tuple[list[tuple[list[int], list]], list[int], dict[int, RationalLike]]:
+    """Each polynomial's plan by ``grade``, the ids of every power and product
+    of powers they need, ascending, and the value bound to the slot of every
+    power among them."""
     plans = [poly._plan(grade) for poly in polys]
-    slots = sorted(set().union(*[plan.slots for plan in plans]))
+    ids = sorted(set().union(*[plan[0] for plan in plans]))
+    slots = dict.fromkeys(i >> EXP_BITS for i in ids if i <= _CODE_MASK)  # a power's id is its code
     try:
-        return plans, {slot: values[_VARS[slot]] for slot in slots}
+        return plans, ids, {slot: values[_VARS[slot]] for slot in slots}
     except KeyError as unbound:
         raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
 
 
-def _over_scale(polys: Sequence[Poly], plans: list[_Plan], ints: dict[int, int], scale: int) -> list[Fraction]:
+def _over_scale(
+    polys: Sequence[Poly], plans: list[tuple[list[int], list]], ids: list[int], ints: dict[int, int], scale: int
+) -> list[Fraction]:
     """Each polynomial's value at ``ints[slot] / scale**g`` for the variable in
     each slot, where g is 1 on plans by degree and the variable's index on
-    plans by weight.
+    plans by weight; ``plans`` and ``ids`` are as ``_bind`` returns them.
 
     The one evaluation loop.  One table, from the ids of products of powers
-    to their values, serves the whole batch and is filled as the plans ask.
-    Each term costs one product, its numerator times the product of its
-    other powers; each group's sum is multiplied by its leading power, the
-    widest int on weighted input, once.  The grades are summed apart, as a
-    term of grade d carries ``scale**d`` in its denominator.
+    to their values, serves the whole batch and is filled in one ascending
+    pass over ``ids``: a power as its variable's value to its exponent, and
+    any other product as its prefix times its last power.  Each term costs
+    one product, its numerator times the product of its other powers; each
+    group's sum is multiplied by its leading power, the widest int on
+    weighted input, once.  The grades are summed apart, as a term of grade
+    d carries ``scale**d`` in its denominator.
     """
     table = {0: 1}
+    for i in ids:
+        if i <= _CODE_MASK:
+            table[i] = ints[i >> EXP_BITS] ** (i & _EXP_MASK)
+        else:
+            table[i] = table[i >> _CODE_BITS] * table[i & _CODE_MASK]
     out = []
-    for poly, (_, powers, products, grades) in zip(polys, plans):
-        for code in powers - table.keys():
-            table[code] = ints[code >> EXP_BITS] ** (code & _EXP_MASK)
-        for rest in products:
-            if rest not in table:
-                table[rest] = table[rest >> _CODE_BITS] * table[rest & _CODE_MASK]
+    for poly, (_, grades) in zip(polys, plans):
         sums = []
         for g, groups in grades:
             total = 0
@@ -590,9 +583,9 @@ def evaluate(polys: Sequence[Poly], values: Mapping[Var, RationalLike]) -> list[
     The values are brought to one denominator ``scale``, which a term of
     degree d carries to the power d.
     """
-    plans, bound = _bind(polys, 0, values)
+    plans, ids, bound = _bind(polys, 0, values)
     nums, scale = over_common_denominator([Fraction(v) for v in bound.values()])
-    return _over_scale(polys, plans, dict(zip(bound, nums)), scale)
+    return _over_scale(polys, plans, ids, dict(zip(bound, nums)), scale)
 
 
 def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scale: int) -> list[Fraction]:
@@ -604,8 +597,8 @@ def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scal
     over ``scale**i``.  A polynomial of weight w then needs one division by
     ``scale**w``, and no common denominator is formed.
     """
-    plans, bound = _bind(polys, 1, numerators)
-    return _over_scale(polys, plans, bound, scale)
+    plans, ids, bound = _bind(polys, 1, numerators)
+    return _over_scale(polys, plans, ids, bound, scale)
 
 
 def _term_text(mono: Monomial, coeff: Fraction) -> str:

@@ -27,6 +27,10 @@ unsafe without an exec once system libraries have started threads.  A
 checkpoint file holds a header fixing the search, then one JSON line of hex
 keys per chunk, written as the chunk's keys arrive; a resumed run enumerates
 the candidates again and keys only missing chunks.
+
+``verify_record`` checks a record by its k-sums alone, so this module needs
+only ``multisets``; whether a 12-set's (12, 4) residuals vanish is for
+``elimination.residual_relations`` to say.
 """
 
 from __future__ import annotations
@@ -41,11 +45,9 @@ from itertools import chain, combinations, combinations_with_replacement, groupb
 from math import comb
 from typing import BinaryIO, Iterator, Sequence
 
-from .elimination import K_SUM, N_ELEMENTS, residual_relations
 from .multisets import (
     NumberMultiset,
     approximate,
-    centred_power_sums,
     check_sum_count,
     collision_class_key,
     comb_at_least,
@@ -275,42 +277,44 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
     """Completed chunks from a checkpoint file, plus whether a valid header
     line is already present; ``sizes[i]`` is the length of chunk i.
 
-    An undecodable last line is the torn tail of an interrupted write: it
-    is cut off the file, so the next append starts on a fresh line, and its
-    chunk is computed again.  Any other undecodable line is an error.
+    A write cut short never reaches its newline, so only a last line
+    without one can be torn: if it does not decode, and, on the header
+    line, is a prefix of this search's header, it is cut off the file, so
+    the next append starts on a fresh line, and its chunk is computed
+    again.  Any other line that does not decode is an error, and the file
+    is left as it is.
     """
     done: dict[int, list[Key]] = {}
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
         return done, False
-    intact = 0  # bytes of decodable lines before the current one
-    complete = True  # whether the last decodable line ends in a newline
+    expected = _checkpoint_header(spec)
+    header = json.dumps({"header": expected}).encode()  # the bytes this search writes, before the newline
+    intact = 0  # bytes of the decodable lines
+    torn = False
     with handle:
-        line, number = handle.readline(), 1
-        while line:
-            following = handle.readline()
+        for number, line in enumerate(handle, 1):
             try:
                 if number == 1:
                     entry = json.loads(line).get("header")
                 else:
                     entry = _decode_chunk(line, sizes) if line.strip() else None
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                if following:
+                if line.endswith(b"\n") or number == 1 and not header.startswith(line):
                     raise ValueError(f"checkpoint {path} line {number} is corrupt: {exc}") from None
+                torn = True
                 break
             if number == 1:
-                if entry != _checkpoint_header(spec):
+                if entry != expected:
                     raise ValueError(f"checkpoint {path} was written for a different search")
             elif entry is not None:
                 chunk_id, keys = entry
                 done[chunk_id] = keys
             intact += len(line)
-            complete = line.endswith(b"\n")
-            line, number = following, number + 1
-    if line:
+    if torn:
         os.truncate(path, intact)
-    elif not complete:
+    elif intact and not line.endswith(b"\n"):
         with open(path, "ab") as out:
             out.write(b"\n")
     return done, intact > 0
@@ -405,17 +409,7 @@ def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:
 
 
 def verify_record(record: CollisionRecord) -> bool:
-    """Recompute everything the record claims; for 12-element, 4-sum pairs
-    with nonzero shifted S_2 also require the compatibility residuals of
-    both members to vanish."""
-    if tuple(sorted(record.first)) == tuple(sorted(record.second)):
-        return False
-    if len(record.first) != len(record.second):
-        return False
-    if ksums(record.first, record.k) != ksums(record.second, record.k):
-        return False
-    if (len(record.first), record.k) == (N_ELEMENTS, K_SUM):
-        for member in (record.first, record.second):  # S_2 = 0 when every element is equal
-            if len(set(member)) > 1 and any(residual_relations(centred_power_sums(member, N_ELEMENTS))):
-                return False
-    return True
+    """Check what the record claims: two distinct multisets of one size
+    with equal k-sums, recomputed from the members alone."""
+    first, second, k = record.first, record.second, record.k
+    return len(first) == len(second) and sorted(first) != sorted(second) and ksums(first, k) == ksums(second, k)

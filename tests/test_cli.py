@@ -338,6 +338,14 @@ def test_search_rejects_corrupt_checkpoint(tmp_path, capsys):
     assert code == 2 and out == "" and "different search" in err
 
 
+def test_search_refuses_to_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"my precious notes\n")
+    code, out, err = run(capsys, "search", "-n", "4", "-k", "2", "-B", "3", "--resume", str(notes))
+    assert code == 2 and out == "" and "line 1 is corrupt" in err
+    assert notes.read_bytes() == b"my precious notes\n"
+
+
 def test_search_unwritable_out_fails_before_searching(tmp_path, capsys):
     ck = tmp_path / "ck.jsonl"
     out = tmp_path / "missing" / "records.jsonl"

@@ -1,9 +1,11 @@
 """Bounded collision search: enumeration, grouping, dedupe, checkpoints."""
 
+import ast
 import hashlib
 import itertools
 import json
 import os
+import pathlib
 import pickle
 import signal
 import stat
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 import ksumlab
 from ksumlab import search
+from ksumlab.elimination import residual_relations
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
-from ksumlab.multisets import affine_image, ksums, parse_multiset, power_sum
+from ksumlab.multisets import affine_image, centred_power_sums, ksums, parse_multiset, power_sum
 from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
@@ -149,13 +152,26 @@ def test_verify_record_rejects_tampering():
     assert not verify_record(CollisionRecord(good.first, good.first, good.k))
 
 
-def test_verify_record_checks_residuals_for_twelve_four():
-    record = CollisionRecord(COLLISION_FIRST, COLLISION_SECOND, 4)
-    assert verify_record(record)
-    # a 12-element "pair" with matching sums cannot be faked: unequal sums
-    # already fail before the residual stage
+def test_twelve_four_records_have_zero_residuals():
+    records = find_collisions(SearchSpec(12, 4, 8, True))
+    assert records
+    for record in [*records, CollisionRecord(COLLISION_FIRST, COLLISION_SECOND, 4)]:
+        assert verify_record(record)
+        for member in (record.first, record.second):
+            residuals = residual_relations(centred_power_sums(member, 12))
+            assert len(residuals) == 13 and not any(residuals), member
     fake = CollisionRecord(COLLISION_FIRST, tuple(sorted(COLLISION_SECOND[:-1] + (9,))), 4)
     assert not verify_record(fake)
+
+
+def test_search_imports_only_multisets_from_the_package():
+    # a sys.modules probe cannot show this: the package __init__ imports every module
+    tree = ast.parse(pathlib.Path(search.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"multisets"}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.split(".")[0] == "ksumlab"]
 
 
 def test_checkpoint_resume(tmp_path):
@@ -203,6 +219,21 @@ def test_checkpoint_tail_repair(tmp_path):
     ck.write_bytes(first + second[:30] + b"\n" + b"".join(rest))
     with pytest.raises(ValueError, match="line 2 is corrupt"):
         find_collisions(spec, checkpoint=str(ck))
+
+
+def test_only_a_line_without_its_newline_is_torn(tmp_path):
+    spec = SearchSpec(n=8, k=2, bound=8, symmetric_only=True)
+    ck = tmp_path / "progress.jsonl"
+    find_collisions(spec, checkpoint=str(ck))
+    *earlier, last = ck.read_bytes().splitlines(keepends=True)
+    # a complete last line that does not decode was written whole: it is corrupt, not torn;
+    # and a first line that is not the start of this search's header was never a header
+    corrupt = b"".join(earlier) + last[:30] + b"\n"
+    for text, number in [(corrupt, len(earlier) + 1), (b"my notes", 1)]:
+        ck.write_bytes(text)
+        with pytest.raises(ValueError, match=f"line {number} is corrupt"):
+            find_collisions(spec, checkpoint=str(ck))
+        assert ck.read_bytes() == text
 
 
 def test_import_does_not_load_multiprocessing():
