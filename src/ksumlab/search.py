@@ -1,11 +1,11 @@
 """Bounded exhaustive search for distinct multisets with equal k-sums.
 
-Candidates are enumerated deterministically as integer numerators over
-one shared denominator and bucketed by one exact int each, their k-sum
-histogram packed by Kronecker substitution (see ``_chunk_pairs``); every
-pair sharing a bucket becomes a collision record.  Only the members of a
-shared bucket are keyed again, to check the bucket, and turned into
-Fractions; the runs of one sorted k-sum multiset per bucket order its records.
+Candidates are enumerated deterministically as their generating tuples and
+bucketed by one exact int each, their k-sum histogram packed by Kronecker
+substitution (see ``_chunk_pairs``); every pair sharing a bucket becomes a
+collision record.  Only the members of a shared bucket are keyed again, to
+check the bucket, and turned into numerators, then Fractions; the runs of
+one sorted k-sum multiset per bucket order its records.
 Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
@@ -57,9 +57,8 @@ from .multisets import (
 CHUNK_SIZE = 256
 # Candidates and keys stay in memory until bucketed, priced at about 256 bytes per
 # candidate (its tuple, its key's int, their slots in chunks and groups), 32 per
-# numerator and 1 per 8 bits of the widest key.  Measured listing peaks stay below
-# the price plus the 17 MB of the bare interpreter: symmetric (12, 4, B=20), priced
-# at 189 MB, peaks near 150 MB.
+# numerator and 1 per 8 bits of the widest key.  Generating tuples hold less than
+# that: symmetric (12, 4, B=20), priced at 189 MB, peaks near 107 MB.
 MAX_LISTING_BYTES = 200_000_000
 # A shared bucket builds its C(n, k) sums, about 0.4 us each, to order its records,
 # and each pair in it becomes a record, about 50 us with its share of the bucket's
@@ -93,34 +92,27 @@ class CollisionRecord:
 def _candidate_count(spec: SearchSpec) -> tuple[int, bool]:
     """Number of candidates in the search space, without enumerating it, and
     whether it is exact; see ``comb_at_least``."""
-    if spec.symmetric_only:
-        return comb_at_least(spec.bound + spec.n // 2, spec.n // 2)
-    return comb_at_least(spec.bound + spec.n - 1, spec.n - 1)
+    m = spec.n // 2 if spec.symmetric_only else spec.n - 1
+    return comb_at_least(spec.bound + m, m)
 
 
-Numerators = tuple[int, ...]  # a candidate, over the denominator of its space
+Generator = tuple[int, ...]  # the nondecreasing tuple of a candidate; see _candidates
 
 
-def _candidates(spec: SearchSpec) -> tuple[int, Iterator[Numerators]]:
-    """The shared denominator of a space and its candidates' numerators.
+def _candidates(spec: SearchSpec) -> Iterator[Generator]:
+    """The generating tuple of each candidate, in order: the half of a symmetric
+    {-v, v : v in half}, or the ``rest`` of ``(0,) + rest``, the first tuple of a
+    shift class."""
+    return combinations_with_replacement(range(spec.bound + 1), spec.n // 2 if spec.symmetric_only else spec.n - 1)
 
-    A symmetric candidate is {-v, v : v in half}, over 1.  In general mode
-    the lexicographically first nondecreasing tuple of a shift class is the
-    one starting at 0, so the tuples ``(0,) + rest`` are exactly the first
-    occurrences, in the same order; each is centred to sum zero as
-    ``n * v - total`` over n.
-    """
-    if spec.symmetric_only:
-        halves = combinations_with_replacement(range(spec.bound + 1), spec.n // 2)
-        return 1, (tuple(-v for v in reversed(half)) + half for half in halves)
-    n = spec.n
 
-    def centred() -> Iterator[Numerators]:
-        for rest in combinations_with_replacement(range(spec.bound + 1), n - 1):
-            total = sum(rest)
-            yield (-total, *(n * v - total for v in rest))
-
-    return n, centred()
+def _numerators(generator: Generator, symmetric: bool) -> tuple[int, ...]:
+    """A candidate over its space's denominator: {-v, v : v in generator} over 1,
+    or ``(0,) + generator`` centred as ``n * v - total`` over n."""
+    if symmetric:
+        return tuple(-v for v in reversed(generator)) + generator
+    n, total = len(generator) + 1, sum(generator)
+    return (-total, *(n * v - total for v in generator))
 
 
 Key = int  # a candidate's packed k-sum histogram; see _chunk_pairs
@@ -154,37 +146,52 @@ def check_listing(spec: SearchSpec) -> None:
         )
 
 
-def _chunk_pairs(args: tuple[int, int, Sequence[Numerators]]) -> list[Key]:
-    """The packed key of each candidate of one chunk.
+def _chunk_pairs(args: tuple[int, bool, Sequence[Generator]]) -> list[Key]:
+    """The packed key of each candidate of one chunk, from its generating tuple.
 
-    A candidate's offsets ``(x - min) / den`` are integers, and the number
-    of j-subsets with offset sum s is the coefficient of y^j z^s in the
-    product of (1 + y z^offset), with j from ``_key_arity``.  The product
-    is taken in one int by Kronecker substitution: z is a bin of w bits, y
-    a level of j * span + 1 bins, and levels above j are masked off.  A bin
-    never holds more than 2^w - 1, so no bin carries into the next.  The
-    key is level j, shifted down to its lowest nonzero bin.  Candidates are
-    centred, so sum multisets that are translates of each other are equal:
-    two candidates share a key exactly when their k-sums are equal.
+    Offsets are ``(0,) + rest``, which is ``(x - min) / n`` of the centred
+    candidate, or hi - v and hi + v for each v of a half, hi the chunk's
+    largest generator.  The number of j-subsets with offset sum s, j from
+    ``_key_arity``, is the coefficient of y^j z^s in the product of
+    (1 + y z^offset), taken in one int: z is a bin of w bits, wider than any
+    count, y a level of j * span + 1 bins; levels above j are masked off.
+    ``stack`` holds the product at each prefix of the previous generator, so
+    a candidate multiplies in only its values after the prefix it shares.
+    The key is level j shifted down to its lowest nonzero bin, the sum of the
+    j least offsets.  Candidates are centred, so two share a key exactly when
+    their k-sums are equal.
     """
-    k, den, chunk = args
-    j, width = _key_arity(len(chunk[0]), k)
-    span = max(c[-1] - c[0] for c in chunk) // den
-    level = (j * span + 1) * width
+    k, symmetric, chunk = args
+    m = len(chunk[0])
+    j, width = _key_arity(2 * m if symmetric else m + 1, k)
+    hi = max(g[-1] for g in chunk) if m else 0
+    level = (j * (2 * hi if symmetric else hi) + 1) * width
     top = j * level
     mask = (1 << (top + level)) - 1
-    keys = []
-    for nums in chunk:
-        low, packed = nums[0], 1
-        for x in nums:
-            packed = (packed + (packed << (level + (x - low) // den * width))) & mask
-        lowest = (sum(nums[:j]) - j * low) // den
+    stack = [1 if symmetric else (1 + (1 << level)) & mask]  # in general mode, the factor of offset 0
+    previous, keys = (), []
+    for g in chunk:
+        p = 0  # the length of the prefix g shares with the previous generator
+        for a, b in zip(g, previous):
+            if a != b:
+                break
+            p += 1
+        del stack[p + 1 :]
+        packed = stack[-1]
+        for v in g[p:]:
+            if symmetric:
+                packed = (packed + (packed << (level + (hi - v) * width))) & mask
+                v += hi
+            packed = (packed + (packed << (level + v * width))) & mask
+            stack.append(packed)
+        previous = g
+        lowest = (j * hi - sum(g[m - j :]) if symmetric else sum(g[: j - 1])) if j else 0
         keys.append(packed >> (top + lowest * width))
     return keys
 
 
 def _keyed_chunks(
-    k: int, den: int, chunks: list[list[Numerators]], pending: list[int], workers: int
+    k: int, symmetric: bool, chunks: list[list[Generator]], pending: list[int], workers: int
 ) -> Iterator[list[Key]]:
     """The keys of ``chunks[i]`` for each i in ``pending``, in that order.
 
@@ -199,7 +206,7 @@ def _keyed_chunks(
     w = min(workers, len(pending))
     if w <= 1:
         for i in pending:
-            yield _chunk_pairs((k, den, chunks[i]))
+            yield _chunk_pairs((k, symmetric, chunks[i]))
         return
     import pickle  # lazy, as it would slow every `import ksumlab`
 
@@ -222,7 +229,7 @@ def _keyed_chunks(
                     with os.fdopen(write_end, "wb") as pipe:
                         for i in pending[slot::w]:
                             try:
-                                message = True, _chunk_pairs((k, den, chunks[i]))
+                                message = True, _chunk_pairs((k, symmetric, chunks[i]))
                             except Exception as exc:
                                 message = False, f"{type(exc).__name__}: {exc}"
                             pickle.dump(message, pipe)
@@ -237,7 +244,7 @@ def _keyed_chunks(
             children.append((pid, os.fdopen(read_end, "rb")))
         for p, i in enumerate(pending):
             if p % w == 0:
-                yield _chunk_pairs((k, den, chunks[i]))
+                yield _chunk_pairs((k, symmetric, chunks[i]))
                 continue
             pid, reader = children[p % w - 1]
             try:
@@ -255,14 +262,8 @@ def _keyed_chunks(
 
 
 def _checkpoint_header(spec: SearchSpec) -> dict:
-    return {
-        "format": 3,
-        "n": spec.n,
-        "k": spec.k,
-        "bound": spec.bound,
-        "symmetric": spec.symmetric_only,
-        "chunk_size": CHUNK_SIZE,
-    }
+    return {"format": 3, "n": spec.n, "k": spec.k, "bound": spec.bound, "symmetric": spec.symmetric_only,
+            "chunk_size": CHUNK_SIZE}
 
 
 def _decode_chunk(line: str | bytes, sizes: list[int]) -> tuple[int, list[Key]]:
@@ -309,8 +310,7 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
                 if entry != expected:
                     raise ValueError(f"checkpoint {path} was written for a different search")
             elif entry is not None:
-                chunk_id, keys = entry
-                done[chunk_id] = keys
+                done[entry[0]] = entry[1]
             intact += len(line)
     if torn:
         os.truncate(path, intact)
@@ -332,30 +332,27 @@ def _runs_key(ascending: Sequence[int], scale: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable((v * scale, -sum(1 for _ in run)) for v, run in groupby(ascending)))
 
 
-def find_collisions(
-    spec: SearchSpec, workers: int = 1, checkpoint: str | None = None
-) -> list[CollisionRecord]:
+def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None = None) -> list[CollisionRecord]:
     """All collision pairs within the bounded space, canonically ordered."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > 1 and (sys.platform != "linux" or not hasattr(os, "fork")):
         raise ValueError(f"{workers} workers need os.fork on Linux, which {sys.platform} does not offer; use 1 worker")
     check_listing(spec)
-    den, stream = _candidates(spec)
-    candidates = list(stream)
+    candidates = list(_candidates(spec))
     chunks = [candidates[i : i + CHUNK_SIZE] for i in range(0, len(candidates), CHUNK_SIZE)]
 
     sizes = [len(chunk) for chunk in chunks]
     done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
     sum_count = comb(spec.n, spec.k)
-    groups: dict[Key, list[Numerators]] = {}
+    groups: dict[Key, list[Generator]] = {}
     pair_count = bucket_count = 0
     with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
         out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
         if out and not has_header:
             print(json.dumps({"header": _checkpoint_header(spec)}), file=out)
-        results = stack.enter_context(closing(_keyed_chunks(spec.k, den, chunks, pending, workers)))
+        results = stack.enter_context(closing(_keyed_chunks(spec.k, spec.symmetric_only, chunks, pending, workers)))
         # Candidates are bucketed as their keys arrive, so the bucket stage is refused
         # as soon as its price passes the ceiling.
         for chunk_id, keys in chain(done.items(), zip(pending, results)):
@@ -376,19 +373,21 @@ def find_collisions(
                 )
 
     shared = [members for members in groups.values() if len(members) > 1]
+    del candidates, chunks, groups  # each generator is freed as it becomes numerators
     # Keys are chunk-independent, so one call keys every member of every shared bucket
     # again, to check that each bucket holds equal keys.
-    rekeyed = iter(_chunk_pairs((spec.k, den, [c for members in shared for c in members])) if shared else ())
+    rekeyed = iter(_chunk_pairs((spec.k, spec.symmetric_only, list(chain.from_iterable(shared)))) if shared else ())
     # Buckets have distinct k-sums, so sorting them by sums, then members, orders the
     # records as (sums, first, second); every sum's denominator divides den.
-    buckets = []
+    den, buckets = 1 if spec.symmetric_only else spec.n, []
     for members in shared:
         if len(set(islice(rekeyed, len(members)))) > 1:
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
+        members[:] = sorted(_numerators(g, spec.symmetric_only) for g in members)
         sums = ksums(members[0], spec.k, den)
-        buckets.append((_runs_key(sums.numerators, den // sums.denominator), sorted(members)))
-    fraction = {v: Fraction(v, den) for v in {v for members in shared for nums in members for v in nums}}
+        buckets.append((_runs_key(sums.numerators, den // sums.denominator), members))
+    fraction = {v: Fraction(v, den) for v in {v for _, members in buckets for nums in members for v in nums}}
     return dedupe_records([
         CollisionRecord(x, y, spec.k)
         for _, members in sorted(buckets)

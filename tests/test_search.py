@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ksumlab
@@ -34,10 +34,16 @@ from ksumlab.search import (
 )
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
 def _fraction_candidates(spec):
-    """The candidate stream of ``search._candidates`` as Fraction tuples."""
-    den, stream = search._candidates(spec)
-    return [tuple(Fraction(v, den) for v in nums) for nums in stream]
+    """The generating tuples of ``search._candidates``, turned by ``search._numerators``
+    into Fraction tuples over the denominator of their space."""
+    den = 1 if spec.symmetric_only else spec.n
+    return [
+        tuple(Fraction(v, den) for v in search._numerators(g, spec.symmetric_only)) for g in search._candidates(spec)
+    ]
 
 
 def test_spec_validation():
@@ -515,6 +521,43 @@ def test_general_checkpoint_bytes_are_pinned(tmp_path):
         assert _decode_key(key, _bin_width(4, 2)) == _sorted_sum_histogram(candidate, 2)
 
 
+# Digests taken on the code that keyed each candidate from its numerators, one step
+# per element, before keys were built from generating tuples on prefix products; the
+# keys, and so the checkpoint bytes and records, must not change with the method.
+@pytest.mark.parametrize("spec, digest", [
+    (SearchSpec(12, 4, 8, True), "6f473de7d4390bae559a97b5b83b6034ce279030bf467ee09c75b7b262dfff33"),
+    (SearchSpec(8, 2, 8), "4f2b5aeecf4c2a238caaa1d7ea03b4a94cdfe0a83d6f516c6aede39f1e47d835"),
+], ids=str)
+def test_checkpoint_bytes_match_their_digest(tmp_path, spec, digest):
+    ck = tmp_path / "progress.jsonl"
+    find_collisions(spec, checkpoint=str(ck))
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (SearchSpec(12, 4, 10, True), "d0412d43580de6558e30761bf43bf7d0a114a33b6b541c15743de93277ef7de3"),
+    (SearchSpec(6, 3, 8), "43b3f93895aab6da2ddb4763494fc228ad1ec5208546e1a1d9944891877d83ae"),
+], ids=str)
+def test_records_match_their_digest(spec, digest):
+    assert hashlib.sha256(repr(find_collisions(spec)).encode()).hexdigest() == digest
+
+
+# Each file is the header and the first chunk line of a checkpoint written by the
+# numerator keying above; the digest is of that whole checkpoint.
+@pytest.mark.parametrize("spec, name, digest", [
+    (SearchSpec(8, 2, 8, True), "checkpoint-8-2-8-symmetric-cut.jsonl",
+     "3fda1221a457adeb2e23861f066f31bfba6f65b4473a4062ee2fe807e6c7b558"),
+    (SearchSpec(6, 3, 8), "checkpoint-6-3-8-cut.jsonl", "9bad14b4e0f4aec8836e931af27769d81333eb8a29fc56ae387f0602cf0590dd"),
+], ids=str)
+def test_checkpoints_written_by_numerator_keying_resume(tmp_path, spec, name, digest):
+    ck = tmp_path / "progress.jsonl"
+    cut = (DATA / name).read_bytes()
+    ck.write_bytes(cut)
+    assert find_collisions(spec, checkpoint=str(ck)) == find_collisions(spec)
+    resumed = ck.read_bytes()
+    assert resumed.startswith(cut) and hashlib.sha256(resumed).hexdigest() == digest
+
+
 def test_format_two_checkpoint_is_refused(tmp_path):
     spec = SearchSpec(n=4, k=2, bound=7)
     header = {"format": 2, "n": 4, "k": 2, "bound": 7, "symmetric": False, "chunk_size": search.CHUNK_SIZE}
@@ -538,10 +581,8 @@ def test_raw_records_are_every_pair_of_equal_k_sums(monkeypatch, spec):
 
     monkeypatch.setattr(search, "dedupe_records", capture)
     find_collisions(spec)
-    den, stream = search._candidates(spec)
     buckets = {}
-    for nums in stream:
-        candidate = tuple(Fraction(v, den) for v in nums)
+    for candidate in _fraction_candidates(spec):
         buckets.setdefault(ksums(candidate, spec.k).sums, []).append(candidate)
     expected = [
         (x, y) for sums in sorted(buckets) for x, y in itertools.combinations(sorted(buckets[sums]), 2)
@@ -563,12 +604,12 @@ def test_checkpoint_keys_that_merge_different_sums_are_refused(tmp_path):
 
 
 def _search_form(raw, symmetric):
-    """Numerators and denominator of a candidate as the search holds it:
-    {-v, v : v in raw} over 1, or raw centred to sum zero over len(raw)."""
+    """The generating tuple of a candidate as the search holds it: the sorted
+    absolute values, for {-v, v : v in raw}, or the ``rest`` of raw shifted to
+    the nondecreasing tuple ``(0,) + rest``."""
     if symmetric:
-        return tuple(sorted([-v for v in raw] + raw)), 1
-    n, total = len(raw), sum(raw)
-    return tuple(sorted(n * v - total for v in raw)), n
+        return tuple(sorted(abs(v) for v in raw))
+    return tuple(sorted(v - min(raw) for v in raw))[1:]
 
 
 def _centred(raw, symmetric):
@@ -595,9 +636,11 @@ def test_packed_keys_are_equal_exactly_when_k_sums_are(data):
         second = [max(first) - v for v in first]
     else:
         second = [first[0]] * size
-    (a, den), (b, _) = _search_form(first, symmetric), _search_form(second, symmetric)
-    keys = search._chunk_pairs((k, den, [a, b]))
-    assert keys == [search._chunk_pairs((k, den, [c]))[0] for c in (a, b)]  # chunk-independent
+    a, b = _search_form(first, symmetric), _search_form(second, symmetric)
+    den = 1 if symmetric else n
+    assert sorted(Fraction(v, den) for v in search._numerators(a, symmetric)) == sorted(_centred(first, symmetric))
+    keys = search._chunk_pairs((k, symmetric, [a, b]))
+    assert keys == [search._chunk_pairs((k, symmetric, [c]))[0] for c in (a, b)]  # chunk-independent
     same = ksums(_centred(first, symmetric), k) == ksums(_centred(second, symmetric), k)
     assert (keys[0] == keys[1]) == same
     j = min(k, n - k)  # centred, so the k-sums are the negated (n - k)-sums
@@ -609,13 +652,52 @@ def test_packed_keys_are_equal_exactly_when_k_sums_are(data):
 def test_packed_key_bins_hold_every_subset(n):
     # all elements equal: one bin counts every subset, the most any bin holds
     for k in range(1, n + 1):
-        assert search._chunk_pairs((k, n, [(0,) * n]))[0] == comb(n, min(k, n - k))
+        assert search._chunk_pairs((k, False, [(0,) * (n - 1)]))[0] == comb(n, min(k, n - k))
+        if n % 2 == 0:
+            assert search._chunk_pairs((k, True, [(0,) * (n // 2)]))[0] == comb(n, min(k, n - k))
 
 
 def test_known_pair_shares_a_packed_key():
-    pair = [tuple(map(int, member)) for member in (COLLISION_FIRST, COLLISION_SECOND)]
-    keys = search._chunk_pairs((4, 1, [*pair, (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)]))
+    halves = [tuple(map(int, member[6:])) for member in (COLLISION_FIRST, COLLISION_SECOND)]
+    assert [search._numerators(half, True) for half in halves] == [
+        tuple(map(int, member)) for member in (COLLISION_FIRST, COLLISION_SECOND)
+    ]
+    keys = search._chunk_pairs((4, True, [*halves, (1, 2, 3, 4, 5, 6)]))
     assert keys[0] == keys[1] != keys[2]
+
+
+@st.composite
+def _keying_cases(draw):
+    """(symmetric, k, chunk): a chunk of generating tuples in shuffled order, with
+    repeats and at least one pair of adjacent equal generators."""
+    symmetric = draw(st.booleans())
+    m = draw(st.integers(1 if symmetric else 0, 6))  # the length of a generating tuple
+    n = 2 * m if symmetric else m + 1
+    pool = list(itertools.combinations_with_replacement(range(draw(st.integers(0, 6)) + 1), m))
+    chunk = draw(st.permutations(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))))
+    at = draw(st.integers(0, len(chunk) - 1))
+    return symmetric, draw(st.integers(1, n)), chunk[:at] + [chunk[at]] + chunk[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keying_cases())
+@example((False, 1, [(), ()]))  # n = 1
+@example((False, 4, [(0, 2, 5), (0, 2, 5), (0, 1, 5), (1, 1, 1)]))  # k = n
+@example((True, 6, [(1, 4, 4), (0, 1, 2), (0, 1, 2)]))
+@example((False, 2, [(0, 0), (0, 0)]))  # B = 0
+@example((True, 3, [(0, 0, 0), (0, 0, 0)]))
+@example((True, 1, [(3,), (0,), (0,), (3,), (1,)]))  # symmetric n = 2
+@example((True, 2, [(2,), (2,), (0,)]))
+def test_keys_extending_prefix_products_match_a_reference(case):
+    symmetric, k, chunk = case
+    n = 2 * len(chunk[0]) if symmetric else len(chunk[0]) + 1
+    j = min(k, n - k)  # centred, so the k-sums are the negated (n - k)-sums
+    keys = search._chunk_pairs((k, symmetric, chunk))
+    assert len(keys) == len(chunk)
+    for generator, key in zip(chunk, keys):
+        assert key == search._chunk_pairs((k, symmetric, [generator]))[0]
+        values = [-v for v in generator] + list(generator) if symmetric else [0, *generator]
+        assert _decode_key(key, _bin_width(n, j)) == (_sorted_sum_histogram(values, j) if j else [1])
 
 
 @pytest.mark.parametrize("workers", [0, -3])
