@@ -31,13 +31,14 @@ the key ints of their inputs.
 
 Evaluation.  ``evaluate`` and ``evaluate_weighted`` take a batch of
 polynomials and one point, and ``Poly.evaluate``/``evaluate_weighted`` are
-batches of one.  A plan is built on first use for the grade asked for
-(degree, or weight: S_i and E_i have weight i) and kept with the
-polynomial.  It holds the ascending ids of every power and product of
-powers its terms need, where a power's id is its code and a product's id
-extends the id of the product one power shorter, and the terms grouped
-by grade and then by leading power, the power of the variable in the
-highest slot, which is the widest int on weighted input.  A batch binds
+batches of one.  S_i and E_i have weight i: ``evaluate_weighted`` takes
+integers v * W**i and the scale W, and ``evaluate`` forms them with the
+one scale rule, ``_weighted_scale``.  A plan is built on first use and
+kept with the polynomial.  It holds the ascending ids of every power and
+product of powers its terms need, where a power's id is its code and a
+product's id extends the id of the product one power shorter, and the
+terms grouped by weight and then by leading power, the power of the
+variable in the highest slot, which is the widest int.  A batch binds
 the variable of each power among its plans' ids once, and fills one
 table, shared by all its polynomials, in one ascending pass over those
 ids.  A term costs one product, its numerator times the product of its
@@ -229,7 +230,7 @@ class Poly:
     polynomial has no terms and denominator 1.
     """
 
-    __slots__ = ("_num", "_den", "_terms", "_plans")
+    __slots__ = ("_num", "_den", "_terms", "_plan_cache")
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
         terms = dict(terms)
@@ -248,7 +249,7 @@ class Poly:
         self._num = num
         self._den = den
         self._terms: dict[Monomial, Fraction] | None = None
-        self._plans: dict[int, tuple[list[int], list]] | None = None
+        self._plan_cache: tuple[list[int], list] | None = None
 
     @classmethod
     def _make(cls, num: dict[int, int], den: int) -> "Poly":
@@ -452,9 +453,8 @@ class Poly:
             terms.append((1, image, Poly._make({k - offset: v for k, v in num.items()}, self._den)))
         return Poly.dot(terms)
 
-    def _plan(self, grade: int) -> tuple[list[int], list]:
-        """The plan by ``grade``, 0 (degree) or 1 (weight: each variable's
-        index once per exponent), built on first use.
+    def _plan(self) -> tuple[list[int], list]:
+        """The plan by weight (each variable's index once per exponent), built on first use.
 
         Each term is split into its leading power, that of the variable in
         its highest slot, and the product of its other powers, taken in
@@ -464,22 +464,19 @@ class Poly:
         one more power by the product's id shifted up by ``_CODE_BITS`` plus
         that power's code; and the empty product, 1, by 0.  The plan holds
         the ids of every power and product of powers its terms need,
-        ascending, and per grade, highest first, the (numerator, product id)
+        ascending, and per weight, highest first, the (numerator, product id)
         of the terms grouped by their leading power's id.  Ids are the same
         in every plan, so a batch makes each product that several of its
         polynomials share once; and ascending ids make each product after
         the shorter one it extends, as a product of r powers has an id below
         ``2 ** (r * _CODE_BITS)``.
         """
-        if self._plans is None:
-            self._plans = {}
-        plan = self._plans.get(grade)
-        if plan is None:
+        if self._plan_cache is None:
             groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
             ids: set[int] = set()
             for key, v in self._num.items():
                 fields = list(_fields(key))
-                g = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields) if grade else key >> _DEGREE_SHIFT
+                g = sum((slot % MAX_INDEX + 1) * exp for slot, exp in fields)
                 codes = [slot << EXP_BITS | exp for slot, exp in fields] or [0]
                 ids.update(codes)
                 rest = 0
@@ -489,8 +486,8 @@ class Poly:
                 groups.setdefault(g, {}).setdefault(codes[-1], []).append((v, rest))
             ids.discard(0)
             grades = [(g, list(groups[g].items())) for g in sorted(groups, reverse=True)]
-            plan = self._plans[grade] = sorted(ids), grades
-        return plan
+            self._plan_cache = sorted(ids), grades
+        return self._plan_cache
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
         """Exact value of the polynomial; every variable must be bound."""
@@ -525,12 +522,12 @@ class Poly:
 
 
 def _bind(
-    polys: Sequence[Poly], grade: int, values: Mapping[Var, RationalLike]
+    polys: Sequence[Poly], values: Mapping[Var, RationalLike]
 ) -> tuple[list[tuple[list[int], list]], list[int], dict[int, RationalLike]]:
-    """Each polynomial's plan by ``grade``, the ids of every power and product
-    of powers they need, ascending, and the value bound to the slot of every
-    power among them."""
-    plans = [poly._plan(grade) for poly in polys]
+    """Each polynomial's plan, the ids of every power and product of powers
+    they need, ascending, and the value bound to the slot of every power
+    among them."""
+    plans = [poly._plan() for poly in polys]
     ids = sorted(set().union(*[plan[0] for plan in plans]))
     slots = dict.fromkeys(i >> EXP_BITS for i in ids if i <= _CODE_MASK)  # a power's id is its code
     try:
@@ -539,21 +536,47 @@ def _bind(
         raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
 
 
+def _integer_root(x: int, w: int) -> int:
+    """The w-th root of x >= 1, rounded down, by Newton's method on ints."""
+    y = 1 << -(-x.bit_length() // w)  # above the root, as x < 2**bit_length
+    while True:
+        z = ((w - 1) * y + x // y ** (w - 1)) // w
+        if z >= y:
+            return y
+        y = z
+
+
+def _weighted_scale(weighted: Iterable[tuple[int, int]]) -> int:
+    """A scale W with each d dividing W**w, over (weight w, denominator d) pairs.
+
+    The one scale rule.  W grows by ascending weight: the part of a
+    denominator that W**w does not yet cover enters W as its exact w-th
+    root when it is a perfect w-th power, and whole otherwise.  The lcm of
+    the denominators is also such a W, but on power sums a far larger one.
+    """
+    scale = 1
+    for weight, den in sorted(weighted):
+        left = den // gcd(den, scale**weight)
+        if left > 1:
+            root = _integer_root(left, weight)
+            scale *= root if root**weight == left else left
+    return scale
+
+
 def _over_scale(
     polys: Sequence[Poly], plans: list[tuple[list[int], list]], ids: list[int], ints: dict[int, int], scale: int
 ) -> list[Fraction]:
-    """Each polynomial's value at ``ints[slot] / scale**g`` for the variable in
-    each slot, where g is 1 on plans by degree and the variable's index on
-    plans by weight; ``plans`` and ``ids`` are as ``_bind`` returns them.
+    """Each polynomial's value at ``ints[slot] / scale**i`` for the variable of
+    index i in each slot; ``plans`` and ``ids`` are as ``_bind`` returns them.
 
     The one evaluation loop.  One table, from the ids of products of powers
     to their values, serves the whole batch and is filled in one ascending
     pass over ``ids``: a power as its variable's value to its exponent, and
     any other product as its prefix times its last power.  Each term costs
     one product, its numerator times the product of its other powers; each
-    group's sum is multiplied by its leading power, the widest int on
-    weighted input, once.  The grades are summed apart, as a term of grade
-    d carries ``scale**d`` in its denominator.
+    group's sum is multiplied by its leading power, the widest int, once.
+    The weights are summed apart, as a term of weight g carries
+    ``scale**g`` in its denominator.
     """
     table = {0: 1}
     for i in ids:
@@ -580,12 +603,13 @@ def _over_scale(
 def evaluate(polys: Sequence[Poly], values: Mapping[Var, RationalLike]) -> list[Fraction]:
     """The exact value of each polynomial; every variable must be bound.
 
-    The values are brought to one denominator ``scale``, which a term of
-    degree d carries to the power d.
+    A value of weight i is put over W**i, with W from ``_weighted_scale``.
     """
-    plans, ids, bound = _bind(polys, 0, values)
-    nums, scale = over_common_denominator([Fraction(v) for v in bound.values()])
-    return _over_scale(polys, plans, ids, dict(zip(bound, nums)), scale)
+    plans, ids, bound = _bind(polys, values)
+    weighted = {slot: (slot % MAX_INDEX + 1, Fraction(v)) for slot, v in bound.items()}
+    scale = _weighted_scale((w, v.denominator) for w, v in weighted.values())
+    ints = {slot: v.numerator * (scale**w // v.denominator) for slot, (w, v) in weighted.items()}
+    return _over_scale(polys, plans, ids, ints, scale)
 
 
 def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scale: int) -> list[Fraction]:
@@ -597,7 +621,7 @@ def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scal
     over ``scale**i``.  A polynomial of weight w then needs one division by
     ``scale**w``, and no common denominator is formed.
     """
-    plans, ids, bound = _bind(polys, 1, numerators)
+    plans, ids, bound = _bind(polys, numerators)
     return _over_scale(polys, plans, ids, bound, scale)
 
 

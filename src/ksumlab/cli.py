@@ -36,8 +36,8 @@ from .elimination import (
 from .known import DOUBLE_ROOT_SET
 from .multisets import (
     NumberMultiset,
+    _power_sums,
     centred_numerators,
-    centred_power_sums,
     format_runs,
     ksums,
     parse_multiset,
@@ -54,8 +54,8 @@ NEGATIVE = 1
 OK = 0
 
 # The residuals take time that grows with the bit length of the centred numerators
-# and of their denominator: about 0.15 s at 500 bits (12 integers of 150 digits),
-# 0.35 s at 1000, 0.7 s at 1660, and 2.6 to 46 s over a denominator of 13200 bits.
+# and of their denominator: 0.1 to 0.2 s at 500 bits (12 integers of 150 digits),
+# 0.3 to 0.5 s at 1000, 0.6 to 1.6 s at 1660, and 0.5 to 31 s over a denominator of 13200 bits.
 MAX_CERTIFY_BITS = 1024
 
 
@@ -158,7 +158,7 @@ def _prepared_power_sums(raw_set: str, quantity: str):
         print(f"note: input shifted by {-total / N_ELEMENTS} so that S_1 = 0", file=sys.stderr)
     if len(set(sets[0])) == 1:  # all equal, so every centred element is 0
         raise ValueError(f"S_2 = 0, {quantity} undefined")
-    return centred_power_sums(sets[0], N_ELEMENTS)
+    return _power_sums(numerators, den, N_ELEMENTS)
 
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
@@ -192,8 +192,17 @@ def _json_number(value: Fraction):
     return int(value) if value.denominator == 1 else str(value)
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: by inode when both exist, by resolved path otherwise."""
+    if os.path.exists(first) and os.path.exists(second):
+        return os.path.samefile(first, second)
+    return os.path.realpath(first) == os.path.realpath(second)
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     spec = SearchSpec(n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric)
+    if args.out and args.resume and _same_file(args.out, args.resume):
+        raise ValueError(f"--out {args.out} and --resume {args.resume} name the same file")
     # opened now so a bad path fails at once, emptied only on success
     sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Monomial, Poly, Var, evaluate, evaluate_weighted, evar, svar
+from .algebra import Monomial, Poly, Var, _weighted_scale, evaluate, evaluate_weighted, evar, svar
 from .multisets import PowerSumVector
 from .symfunc import BadRangeError, _newton, e_expansion
 
@@ -205,51 +205,19 @@ def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fractio
     return -c1 / c2 - s_free
 
 
-def _integer_root(x: int, w: int) -> int:
-    """The w-th root of x >= 1, rounded down, by Newton's method on ints."""
-    y = 1 << -(-x.bit_length() // w)  # above the root, as x < 2**bit_length
-    while True:
-        z = ((w - 1) * y + x // y ** (w - 1)) // w
-        if z >= y:
-            return y
-        y = z
-
-
-def _over_weighted_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers ``nums`` and a scale D with ``values[i] == nums[i] / D**(i+1)``.
-
-    D is the product of the primes up to n times a scale W such that
-    ``den(values[i])`` divides ``W**(i+1)``.  W grows weight by weight: the
-    part of a denominator that the power of W formed so far does not cover
-    enters W as its exact (i+1)-th root when it is a perfect (i+1)-th power
-    and whole otherwise.  The lcm of the denominators is also such a W, but
-    a far larger one.
-    """
-    rest = 1
-    for weight, v in enumerate(values, 1):
-        left = v.denominator // gcd(v.denominator, rest**weight)
-        if left > 1:
-            root = _integer_root(left, weight)
-            rest *= root if root**weight == left else left
-    scale = _NEWTON_PRIMES * rest
-    nums, power = [], 1
-    for v in values:
-        power *= scale
-        nums.append(v.numerator * (power // v.denominator))
-    return nums, scale
-
-
 def _weighted_power_sums(values: Sequence[Fraction], upto: int) -> tuple[dict[Var, int], int]:
     """Integers P_p and a scale D with S_p = P_p / D**p for p = 1..upto.
 
     ``values`` holds S_1, S_2, ...; beyond its end, S_p follows from
     S_1..S_n by Newton's identities for n = N_ELEMENTS elements, run on the
-    P_p, which are integer power sums of weight p.  D carries every prime
-    up to n, which makes each of Newton's divisions exact.
+    P_p, which are integer power sums of weight p.  D is the scale that
+    ``algebra._weighted_scale`` picks for S_1..S_upto times every prime up
+    to n, which makes each of Newton's divisions exact.
     """
-    nums, scale = _over_weighted_denominator(values[:upto])
-    ints = [0, *nums]
-    if upto > len(nums):
+    values = values[:upto]
+    scale = _NEWTON_PRIMES * _weighted_scale((w, v.denominator) for w, v in enumerate(values, 1))
+    ints = [0, *(v.numerator * (scale**w // v.denominator) for w, v in enumerate(values, 1))]
+    if upto > len(values):
         _newton(ints, [1], N_ELEMENTS, upto)
     return {svar(p): ints[p] for p in range(1, upto + 1)}, scale
 
@@ -287,7 +255,7 @@ def s7_linear_condition(s: PowerSumVector) -> Fraction:
     condition = _s7_condition()
     upto = max(v.index for v in condition.variables())
     _require_zero_s1(s, upto=upto)
-    return condition.evaluate_weighted(*_weighted_power_sums(s.values, upto))
+    return condition.evaluate({svar(p): s[p] for p in range(1, upto + 1)})
 
 
 def residual_equation_indices() -> tuple[int, ...]:
@@ -310,13 +278,11 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     table entry for S_p have weight p, so with a scale D such that
     den(S_p) divides D^p, the integers P_p = S_p D^p go through Newton's
     identities up to P_PMAX and through each identity polynomial, and only
-    the value of E_p is divided, once, by D^p.  D is built weight by weight
-    from the part of each denominator not yet covered (its exact root when
-    it is a perfect power, whole otherwise), times the primes up to n,
-    which make Newton's divisions by j exact: j! e_j is an integer
-    polynomial in the power sums and j! has fewer than j factors of each
-    prime.  The partner's S_p come from the tables as rationals and get
-    their own scale Q, chosen the same way.
+    the value of E_p is divided, once, by D^p.  D is the W of the scale
+    rule in ``algebra`` times the primes up to n, which make Newton's
+    divisions by j exact: j! e_j is an integer polynomial in the power sums
+    and j! has fewer than j factors of each prime.  The partner's S_p come
+    from the tables as rationals and get their own scale Q by the same rule.
     """
     _require_zero_s1(s, upto=N_ELEMENTS)
     evalues = _evalues(s.values[:N_ELEMENTS], range(1, PMAX + 1))

@@ -323,14 +323,15 @@ def test_batch_evaluation_names_the_first_unbound_variable(batch, bound):
         assert caught.value.args == (f"no value bound for {min(unbound)}",)
 
 
-def test_plans_are_built_by_evaluation_only_per_grade():
+def test_one_plan_serves_both_evaluations():
     p = Poly.parse("3/7*S2^3*E5 - 5*S2^2*E5 + 1/3*E2*S12 + 2")
     assert p.variables() == {svar(2), svar(12), evar(2), evar(5)}
-    assert p._plans is None  # the symbolic build asks for variables, never for values
+    assert p._plan_cache is None  # the symbolic build asks for variables, never for values
     p.evaluate({v: Fraction(1, 3) for v in p.variables()})
-    assert set(p._plans) == {0}
+    plan = p._plan_cache
+    assert plan is not None
     p.evaluate_weighted({v: 2 for v in p.variables()}, 5)
-    assert set(p._plans) == {0, 1}
+    assert p._plan_cache is plan
 
 
 # -- the product kernel against a schoolbook oracle ---------------------------

@@ -357,6 +357,27 @@ def test_search_unwritable_out_fails_before_searching(tmp_path, capsys):
     assert not ck.exists()  # the search never started
 
 
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("alias", ["same path", "symlink"])
+def test_search_refuses_one_file_as_checkpoint_and_out(tmp_path, capsys, exists, alias):
+    argv = ["search", "-n", "4", "-k", "2", "-B", "5"]
+    ck = tmp_path / "ck.jsonl"
+    if exists:
+        assert run(capsys, *argv, "--resume", str(ck))[0] == 0
+    before = ck.read_bytes() if exists else None
+    out = ck
+    if alias == "symlink":  # dangling while the checkpoint does not exist
+        out = tmp_path / "link.jsonl"
+        out.symlink_to(ck)
+    code, stdout, err = run(capsys, *argv, "--resume", str(ck), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "same file" in err
+    if exists:
+        assert ck.read_bytes() == before
+    else:
+        assert not ck.exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -8,7 +8,7 @@ import pytest
 
 from identity_tables import LOW_TABLE, S7_CONDITION_TABLE, SECOND_ROOT_TABLE
 from ksumlab import elimination
-from ksumlab.algebra import Monomial, Poly, evar, svar
+from ksumlab.algebra import Monomial, Poly, _integer_root, _weighted_scale, evar, svar
 from ksumlab.elimination import (
     REFERENCE_C1,
     REFERENCE_C2,
@@ -270,22 +270,30 @@ def test_residuals_nonzero_on_random_sets():
         assert any(v != 0 for v in residual_relations(s))
 
 
+def weighted_scale(values):
+    """The algebra scale rule on S_1, S_2, ...: ``values[p - 1]`` has weight p."""
+    return _weighted_scale((w, v.denominator) for w, v in enumerate(values, 1))
+
+
 def test_weighted_scale_examples():
-    # den(S_p) | D^p: 4 | 2^2 and 8 | 2^3, so 2 and not the lcm 8, times the primes up to 12
+    # den(S_p) | W^p: 4 | 2^2 and 8 | 2^3, so 2 and not the lcm 8
+    assert weighted_scale([Fraction(0), Fraction(1, 4), Fraction(1, 8)]) == 2
+    # certification multiplies in the primes up to 12
     d = 2 * 3 * 5 * 7 * 11
-    assert elimination._over_weighted_denominator([Fraction(0), Fraction(1, 4), Fraction(1, 8)]) == (
-        [0, d**2, d**3], 2 * d)
+    assert elimination._weighted_power_sums([Fraction(0), Fraction(1, 4), Fraction(1, 8)], 3) == (
+        {svar(1): 0, svar(2): d**2, svar(3): d**3}, 2 * d)
     # a leftover prime first seen to the power one enters once
-    assert elimination._over_weighted_denominator([Fraction(1, 101), Fraction(2, 101**2)])[1] == 101 * d
+    assert weighted_scale([Fraction(1, 101), Fraction(2, 101**2)]) == 101
+    # two values of one weight, as S_2 and E_2 are, give one scale in either order
+    assert _weighted_scale([(2, 9), (2, 3)]) == _weighted_scale([(2, 3), (2, 9)]) == 3
 
 
 def test_weighted_scale_takes_the_root_of_a_perfect_power():
-    d = 2 * 3 * 5 * 7 * 11
     # S_2 = 2/1000003^2 enters 1000003 once: 1000003^2 is a square at weight 2
     values = centred_power_sums([Fraction(x, 1000003) for x in DOUBLE_ROOT_SET], 12).values
-    assert elimination._over_weighted_denominator(values)[1] == d * 1000003
+    assert weighted_scale(values) == 1000003
     # a leftover that is no perfect power at its weight still enters whole
-    assert elimination._over_weighted_denominator([Fraction(0), Fraction(0), Fraction(1, 101**2)])[1] == 101**2 * d
+    assert weighted_scale([Fraction(0), Fraction(0), Fraction(1, 101**2)]) == 101**2
 
 
 def test_integer_root_rounds_down():
@@ -293,7 +301,7 @@ def test_integer_root_rounds_down():
     cases = [(1, 1), (1, 5), (8, 3), (9, 3), (10**40, 4), (10**40 - 1, 4)]
     cases += [(rng.randint(1, 10**rng.randint(1, 60)), rng.randint(1, 26)) for _ in range(300)]
     for x, w in cases:
-        root = elimination._integer_root(x, w)
+        root = _integer_root(x, w)
         assert root**w <= x < (root + 1) ** w, (x, w)
 
 
@@ -302,9 +310,11 @@ def test_weighted_scale_fits_every_weight():
     for _ in range(50):
         values = [Fraction(rng.randint(-99, 99), rng.choice([1, 6, 49, 97, 101, 2**9, 1000003, 12**5]))
                   for _ in range(rng.randint(1, 12))]
-        nums, scale = elimination._over_weighted_denominator(values)
+        scale = weighted_scale(values)
+        assert all(scale**w % v.denominator == 0 for w, v in enumerate(values, 1))
+        nums, scale = elimination._weighted_power_sums(values, len(values))
         assert scale % (2 * 3 * 5 * 7 * 11) == 0
-        assert [Fraction(v, scale**w) for w, v in enumerate(nums, 1)] == values
+        assert [Fraction(nums[svar(w)], scale**w) for w in range(1, len(values) + 1)] == values
 
 
 def fraction_residuals(s):
@@ -381,10 +391,33 @@ def certification_inputs():
     return [*sets, COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET, [10**299 + i**287 for i in range(12)]]
 
 
-def test_certification_outputs_match_their_digest():
+def certification_digest(sets) -> str:
     digest = hashlib.sha256()
-    for values in certification_inputs():
+    for values in sets:
         s = centred_power_sums(values, 12)
         for q in (*residual_relations(s), second_root(s)):
             digest.update(f"{q.numerator:x}/{q.denominator:x};".encode())
-    assert digest.hexdigest() == CERTIFICATION_DIGEST
+    return digest.hexdigest()
+
+
+def test_certification_outputs_match_their_digest():
+    assert certification_digest(certification_inputs()) == CERTIFICATION_DIGEST
+
+
+# The same digest over rational_certification_inputs(), taken with the
+# evaluation that put each point over the lcm of its denominators.
+RATIONAL_CERTIFICATION_DIGEST = "8a04605cb8b1b88235366d5e6efa2ce2b7f3b0983ff0cc1adc6649e228326a5e"
+
+
+def rational_certification_inputs():
+    """A hand-picked rational 12-set, the known member scaled by 1/3, and two sets over 7**300."""
+    return [
+        parse_multiset("1/2 -3/7 0 0 1 2 3 4 5 6 7 9"),
+        affine_image(COLLISION_FIRST, Fraction(1, 3), 0),
+        [Fraction(v, 7**300) for v in range(12)],
+        [Fraction(10**20 + v**19, 7**300) + v for v in range(12)],
+    ]
+
+
+def test_rational_certification_outputs_match_their_digest():
+    assert certification_digest(rational_certification_inputs()) == RATIONAL_CERTIFICATION_DIGEST
