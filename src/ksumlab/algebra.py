@@ -29,21 +29,28 @@ and the ``_onto_sums`` recurrence in ``symfunc``.  Sums such as
 ``e_expansion``'s go through ``+`` and scalar ``*`` instead, which keep
 the key ints of their inputs.
 
-Evaluation.  ``evaluate`` and ``evaluate_weighted`` take a batch of
-polynomials and one point, and ``Poly.evaluate``/``evaluate_weighted`` are
-batches of one.  S_i and E_i have weight i: ``evaluate_weighted`` takes
-integers v * W**i and the scale W, and ``evaluate`` forms them with the
-one scale rule, ``_weighted_scale``.  A plan is built on first use and
-kept with the polynomial.  It holds the ascending ids of every power and
-product of powers its terms need, where a power's id is its code and a
-product's id extends the id of the product one power shorter, and the
-terms grouped by weight and then by leading power, the power of the
-variable in the highest slot, which is the widest int.  A batch binds
-the variable of each power among its plans' ids once, and fills one
-table, shared by all its polynomials, in one ascending pass over those
-ids.  A term costs one product, its numerator times the product of its
-other powers from the table, and each group's sum is multiplied by its
-leading power once.  ``variables()`` reads the keys and builds no plan.
+Evaluation.  ``evaluate`` and ``evaluate_weighted`` take polynomials and
+one point, and ``Poly.evaluate`` is a batch of one.  S_i and E_i have
+weight i: ``evaluate_weighted`` takes integers v * W**i and the scale W,
+and ``evaluate`` forms them with the one scale rule, ``_weighted_scale``.
+A plan is built on first use and kept with the polynomial.  It holds the
+ascending ids of every power and product of powers its terms need, where
+a power's id is its code and a product's id extends the id of the product
+one power shorter, and the terms grouped by weight and then by leading
+power, the power of the variable in the highest slot, which is the widest
+int.  A ``Batch`` merges the plans of its polynomials once, numbers their
+ids and lays out their terms for ``map``; both functions take a batch, or
+a list that they make into one, so a caller that evaluates the same
+polynomials at many points keeps its batch.  One table, shared by all the
+polynomials of a batch, holds its powers and then its products, each
+after the shorter one it extends.  A term costs one product, its
+numerator times the product of its other powers from the table, and each
+group's sum is multiplied by its leading power once.  The private
+``_over_scale`` and ``_weighted_integers`` take the integers by slot, in a
+list or a dict, so a caller that holds them so hashes no ``Var``;
+``_weighted_integers`` returns each value times W**w as an int and raises
+``ArithmeticError`` where one is not.  ``variables()`` reads the keys and
+builds no plan.
 """
 
 from __future__ import annotations
@@ -53,8 +60,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, total_ordering
+from itertools import accumulate
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -464,12 +472,12 @@ class Poly:
         one more power by the product's id shifted up by ``_CODE_BITS`` plus
         that power's code; and the empty product, 1, by 0.  The plan holds
         the ids of every power and product of powers its terms need,
-        ascending, and per weight, highest first, the (numerator, product id)
-        of the terms grouped by their leading power's id.  Ids are the same
-        in every plan, so a batch makes each product that several of its
-        polynomials share once; and ascending ids make each product after
-        the shorter one it extends, as a product of r powers has an id below
-        ``2 ** (r * _CODE_BITS)``.
+        ascending, and per weight, highest first, the terms grouped by their
+        leading power's id, each group as (lead id, numerators, product ids).
+        Ids are the same in every plan, so a batch makes each product that
+        several of its polynomials share once; and ascending ids make each
+        product after the shorter one it extends, as a product of r powers
+        has an id below ``2 ** (r * _CODE_BITS)``.
         """
         if self._plan_cache is None:
             groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
@@ -485,17 +493,16 @@ class Poly:
                     ids.add(rest)
                 groups.setdefault(g, {}).setdefault(codes[-1], []).append((v, rest))
             ids.discard(0)
-            grades = [(g, list(groups[g].items())) for g in sorted(groups, reverse=True)]
+            grades = [
+                (g, [(lead, *zip(*terms)) for lead, terms in groups[g].items()])
+                for g in sorted(groups, reverse=True)
+            ]
             self._plan_cache = sorted(ids), grades
         return self._plan_cache
 
     def evaluate(self, values: Mapping[Var, RationalLike]) -> Fraction:
         """Exact value of the polynomial; every variable must be bound."""
         return evaluate([self], values)[0]
-
-    def evaluate_weighted(self, numerators: Mapping[Var, int], scale: int) -> Fraction:
-        """Exact value at ``numerators[v] / scale**i`` for each variable v of index i."""
-        return evaluate_weighted([self], numerators, scale)[0]
 
     # -- rendering and parsing ---------------------------------------------
 
@@ -521,17 +528,59 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _bind(
-    polys: Sequence[Poly], values: Mapping[Var, RationalLike]
-) -> tuple[list[tuple[list[int], list]], list[int], dict[int, RationalLike]]:
-    """Each polynomial's plan, the ids of every power and product of powers
-    they need, ascending, and the value bound to the slot of every power
-    among them."""
-    plans = [poly._plan() for poly in polys]
-    ids = sorted(set().union(*[plan[0] for plan in plans]))
-    slots = dict.fromkeys(i >> EXP_BITS for i in ids if i <= _CODE_MASK)  # a power's id is its code
+class Batch:
+    """Polynomials evaluated together, their plans merged once.
+
+    The ids of every power and product of powers that the plans need are
+    numbered in ascending order from 1, after the empty product at 0.  A
+    batch holds each power's slot and exponent in ``slots`` and ``exps``,
+    and each other product as the numbers of the product one power shorter
+    that it extends and of its last power, which come before it.  Per
+    polynomial, ``plans`` holds its terms laid end to end, as their
+    numerators and the numbers of the products of their other powers;
+    where its groups start and end in that run, and their leading powers;
+    and its weights, highest first, as (weight, first group, end of its
+    groups).  A batch never changes, so one can be kept and evaluated at
+    any number of points.
+    """
+
+    __slots__ = ("polys", "slots", "exps", "products", "plans")
+
+    def __init__(self, polys: Iterable[Poly]):
+        self.polys = tuple(polys)
+        plans = [poly._plan() for poly in self.polys]
+        ids = sorted(set().union(*[ids for ids, _ in plans]))
+        at = {0: 0, **{i: n for n, i in enumerate(ids, 1)}}
+        powers = [i for i in ids if i <= _CODE_MASK]  # a power's id is its code
+        self.slots = [i >> EXP_BITS for i in powers]
+        self.exps = [i & _EXP_MASK for i in powers]
+        self.products = [(at[i >> _CODE_BITS], at[i & _CODE_MASK]) for i in ids[len(powers):]]
+        self.plans = []
+        for _, grades in plans:
+            nums: list[int] = []
+            rests: list[int] = []
+            ends: list[int] = []
+            leads: list[int] = []
+            weights = []
+            for g, groups in grades:
+                first = len(leads)
+                for lead, group_nums, group_rests in groups:
+                    nums += group_nums
+                    rests += map(at.__getitem__, group_rests)
+                    ends.append(len(nums))
+                    leads.append(at[lead])
+                weights.append((g, first, len(leads)))
+            self.plans.append((nums, rests, [0, *ends[:-1]], ends, leads, weights))
+
+
+def _batch(polys: Sequence[Poly] | Batch) -> Batch:
+    return polys if isinstance(polys, Batch) else Batch(polys)
+
+
+def _bound(batch: Batch, values: Mapping[Var, RationalLike]) -> dict[int, RationalLike]:
+    """The value bound to the variable of each slot among the batch's powers."""
     try:
-        return plans, ids, {slot: values[_VARS[slot]] for slot in slots}
+        return {slot: values[_VARS[slot]] for slot in batch.slots}
     except KeyError as unbound:
         raise UnboundVariableError(f"no value bound for {unbound.args[0]}") from None
 
@@ -553,66 +602,84 @@ def _weighted_scale(weighted: Iterable[tuple[int, int]]) -> int:
     denominator that W**w does not yet cover enters W as its exact w-th
     root when it is a perfect w-th power, and whole otherwise.  The lcm of
     the denominators is also such a W, but on power sums a far larger one.
+    A denominator of 1, or one that W**w already covers, leaves W as it is.
     """
-    scale = 1
-    for weight, den in sorted(weighted):
-        left = den // gcd(den, scale**weight)
-        if left > 1:
+    scale, power, at = 1, 1, 0  # power is scale**at
+    for weight, den in sorted((w, d) for w, d in weighted if d != 1):
+        power *= scale ** (weight - at)
+        at = weight
+        if power % den:
+            left = den // gcd(den, power)
             root = _integer_root(left, weight)
-            scale *= root if root**weight == left else left
+            factor = root if root**weight == left else left
+            scale *= factor
+            power *= factor**weight
     return scale
 
 
-def _over_scale(
-    polys: Sequence[Poly], plans: list[tuple[list[int], list]], ids: list[int], ints: dict[int, int], scale: int
-) -> list[Fraction]:
-    """Each polynomial's value at ``ints[slot] / scale**i`` for the variable of
-    index i in each slot; ``plans`` and ``ids`` are as ``_bind`` returns them.
+def _weighted_totals(batch: Batch, ints: Sequence[int] | Mapping[int, int], scale: int) -> list[tuple[int, int]]:
+    """(t, w) for each polynomial of the batch, with w the highest weight of
+    its terms and t its value at ``ints[slot] / scale**i``, for the variable
+    of index i in each slot, times its denominator and ``scale**w``.
 
-    The one evaluation loop.  One table, from the ids of products of powers
-    to their values, serves the whole batch and is filled in one ascending
-    pass over ``ids``: a power as its variable's value to its exponent, and
-    any other product as its prefix times its last power.  Each term costs
-    one product, its numerator times the product of its other powers; each
-    group's sum is multiplied by its leading power, the widest int, once.
-    The weights are summed apart, as a term of weight g carries
-    ``scale**g`` in its denominator.
+    The one evaluation loop, run by ``map`` and ``accumulate`` rather than
+    term by term.  One table, from the numbers of the products of powers
+    to their values, serves the whole batch: the powers, and then each
+    other product as the product it extends times its last power.  Each
+    term costs one product, its numerator times the product of its other
+    powers; a group's sum is the difference of two running totals of
+    those, and is multiplied by its leading power, the widest int, once.
+    The weights are summed apart, from running totals of the groups, as a
+    term of weight g carries ``scale**g`` in its denominator.  The running
+    totals are kept per polynomial, so no more than one polynomial's terms
+    are held at a time.
     """
-    table = {0: 1}
-    for i in ids:
-        if i <= _CODE_MASK:
-            table[i] = ints[i >> EXP_BITS] ** (i & _EXP_MASK)
-        else:
-            table[i] = table[i >> _CODE_BITS] * table[i & _CODE_MASK]
+    table = [1, *map(pow, map(ints.__getitem__, batch.slots), batch.exps)]
+    for prefix, last in batch.products:
+        table.append(table[prefix] * table[last])
+    get = table.__getitem__
     out = []
-    for poly, (_, grades) in zip(polys, plans):
-        sums = []
-        for g, groups in grades:
-            total = 0
-            for lead, terms in groups:
-                inner = 0
-                for num, rest in terms:
-                    inner += num * table[rest]
-                total += inner * table[lead]
-            sums.append((g, total))
-        top = sums[0][0] if sums else 0
-        out.append(Fraction(sum(s * scale ** (top - g) for g, s in sums), poly._den * scale**top))
+    for nums, rests, starts, ends, leads, weights in batch.plans:
+        terms = [0, *accumulate(map(mul, nums, map(get, rests)))].__getitem__
+        groups = [0, *accumulate(map(mul, map(sub, map(terms, ends), map(terms, starts)), map(get, leads)))]
+        top = weights[0][0] if weights else 0
+        out.append((sum((groups[end] - groups[first]) * scale ** (top - g) for g, first, end in weights), top))
     return out
 
 
-def evaluate(polys: Sequence[Poly], values: Mapping[Var, RationalLike]) -> list[Fraction]:
+def _over_scale(batch: Batch, ints: Sequence[int] | Mapping[int, int], scale: int) -> list[Fraction]:
+    """Each polynomial's value at ``ints[slot] / scale**i`` for the variable of
+    index i in each slot."""
+    totals = _weighted_totals(batch, ints, scale)
+    return [Fraction(t, poly._den * scale**w) for poly, (t, w) in zip(batch.polys, totals)]
+
+
+def _weighted_integers(batch: Batch, ints: Sequence[int] | Mapping[int, int], scale: int) -> list[int]:
+    """Each polynomial's value at ``ints[slot] / scale**i``, as in ``_over_scale``,
+    times ``scale**w`` for w the highest weight of its terms: an integer, or
+    ``ArithmeticError`` is raised."""
+    out = []
+    for poly, (t, w) in zip(batch.polys, _weighted_totals(batch, ints, scale)):
+        q, r = divmod(t, poly._den)
+        if r:
+            raise ArithmeticError(f"a value times {scale}**{w} is {Fraction(t, poly._den)}, not an integer")
+        out.append(q)
+    return out
+
+
+def evaluate(polys: Sequence[Poly] | Batch, values: Mapping[Var, RationalLike]) -> list[Fraction]:
     """The exact value of each polynomial; every variable must be bound.
 
     A value of weight i is put over W**i, with W from ``_weighted_scale``.
     """
-    plans, ids, bound = _bind(polys, values)
-    weighted = {slot: (slot % MAX_INDEX + 1, Fraction(v)) for slot, v in bound.items()}
+    batch = _batch(polys)
+    weighted = {slot: (slot % MAX_INDEX + 1, Fraction(v)) for slot, v in _bound(batch, values).items()}
     scale = _weighted_scale((w, v.denominator) for w, v in weighted.values())
     ints = {slot: v.numerator * (scale**w // v.denominator) for slot, (w, v) in weighted.items()}
-    return _over_scale(polys, plans, ids, ints, scale)
+    return _over_scale(batch, ints, scale)
 
 
-def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scale: int) -> list[Fraction]:
+def evaluate_weighted(polys: Sequence[Poly] | Batch, numerators: Mapping[Var, int], scale: int) -> list[Fraction]:
     """The exact value of each polynomial at ``numerators[v] / scale**i`` for
     each variable v of index i.
 
@@ -621,8 +688,8 @@ def evaluate_weighted(polys: Sequence[Poly], numerators: Mapping[Var, int], scal
     over ``scale**i``.  A polynomial of weight w then needs one division by
     ``scale**w``, and no common denominator is formed.
     """
-    plans, ids, bound = _bind(polys, numerators)
-    return _over_scale(polys, plans, ids, bound, scale)
+    batch = _batch(polys)
+    return _over_scale(batch, _bound(batch, numerators), scale)
 
 
 def _term_text(mono: Monomial, coeff: Fraction) -> str:

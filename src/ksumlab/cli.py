@@ -54,8 +54,9 @@ NEGATIVE = 1
 OK = 0
 
 # The residuals take time that grows with the bit length of the centred numerators
-# and of their denominator: 0.1 to 0.2 s at 500 bits (12 integers of 150 digits),
-# 0.3 to 0.5 s at 1000, 0.6 to 1.6 s at 1660, and 0.5 to 31 s over a denominator of 13200 bits.
+# and of their denominator: 0.07 to 0.08 s at 500 bits (12 integers of 150 digits),
+# 0.24 to 0.26 s at 1000, 0.55 to 0.62 s at 1660, and 0.11 to 25 s over a denominator
+# of 13200 bits (in-process `residual_relations`, Python 3.11, 2 vCPUs).
 MAX_CERTIFY_BITS = 1024
 
 

@@ -12,7 +12,8 @@ solutions.  The residual relations, the other equations up to PMAX (26),
 decide whether the second root extends to a full consistent solution.
 
 All symbolic construction happens once and is cached; numeric queries
-evaluate the cached polynomials.
+evaluate the cached polynomials, each fixed set of them through one cached
+``algebra.Batch``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
-from typing import Iterable, Mapping, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import Iterable, Sequence
 
-from .algebra import Monomial, Poly, Var, _weighted_scale, evaluate, evaluate_weighted, evar, svar
+from .algebra import (
+    MAX_INDEX,
+    Batch,
+    Monomial,
+    Poly,
+    Var,
+    _over_scale,
+    _weighted_integers,
+    _weighted_scale,
+    evaluate,
+    evar,
+    svar,
+)
 from .multisets import PowerSumVector
 from .symfunc import BadRangeError, _newton, e_expansion
 
@@ -36,8 +49,7 @@ def _primes_below(bound: int) -> tuple[int, ...]:
     return tuple(q for q in range(2, bound) if all(q % r for r in range(2, q)))
 
 
-# The primes up to N_ELEMENTS, a factor of every scale that Newton's
-# identities run under, so that their divisions are exact on ints.
+# The primes up to N_ELEMENTS, which make Newton's divisions exact on ints.
 _NEWTON_PRIMES = prod(_primes_below(N_ELEMENTS + 1))
 
 
@@ -162,15 +174,22 @@ def coefficient_report() -> tuple[list[str], bool]:
     return c2_lines + c1_lines, c2_ok and c1_ok
 
 
+@lru_cache(maxsize=None)
+def _quadratic_batch(count: int) -> Batch:
+    """The batch of the quadratic's first ``count`` coefficients, c2, c1, c0."""
+    quad = fourteenth_quadratic()
+    return Batch([quad.c2, quad.c1, quad.c0][:count])
+
+
 def quadratic_at(evalues: PowerSumVector) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients (a, b, c) of a*x^2 + b*x + c = 0 for S_free at E-values
     E_1..E_index in a PowerSumVector; the constant term folds in -E_index."""
-    quad = fourteenth_quadratic()
-    if evalues.upto < quad.index:
-        raise BadRangeError(f"E{quad.index} value required to form the quadratic")
+    index = fourteenth_quadratic().index
+    if evalues.upto < index:
+        raise BadRangeError(f"E{index} value required to form the quadratic")
     values = {evar(i): evalues[i] for i in range(1, evalues.upto + 1)}
-    a, b, c = evaluate([quad.c2, quad.c1, quad.c0], values)
-    return a, b, c - evalues[quad.index]
+    a, b, c = evaluate(_quadratic_batch(3), values)
+    return a, b, c - evalues[index]
 
 
 def exact_sqrt(q: Fraction) -> Fraction | None:
@@ -196,38 +215,76 @@ def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ..
     return tuple(sorted(((-b - root) / (2 * a), (-b + root) / (2 * a))))
 
 
-def _vieta_partner(evalues: Mapping[Var, Fraction], s_free: Fraction) -> Fraction:
-    """The other root -c1/c2 - S_free of the quadratic at these E-values."""
-    quad = fourteenth_quadratic()
-    c2, c1 = evaluate([quad.c2, quad.c1], evalues)
+def _point(e: Sequence[int]) -> list[int]:
+    """Values by slot: ``e[i - 1]`` for E_i, and 0 for every S_i."""
+    return [*[0] * MAX_INDEX, *e]
+
+
+def _vieta_partner(e: Sequence[int], scale: int, s_free: Fraction) -> Fraction:
+    """The other root -c1/c2 - S_free of the quadratic at E_i = e[i - 1] / scale**i."""
+    c2, c1 = _over_scale(_quadratic_batch(2), _point(e), scale)
     if c2 == 0:
         raise ZeroDivisionError("second root undefined when S_2 = 0")
     return -c1 / c2 - s_free
 
 
-def _weighted_power_sums(values: Sequence[Fraction], upto: int) -> tuple[dict[Var, int], int]:
-    """Integers P_p and a scale D with S_p = P_p / D**p for p = 1..upto.
+def _weighted_power_sums(values: Sequence[Fraction], scale: int, upto: int) -> list[int]:
+    """The integers S_p * scale**p for p = 1..upto, at position p - 1.
 
-    ``values`` holds S_1, S_2, ...; beyond its end, S_p follows from
-    S_1..S_n by Newton's identities for n = N_ELEMENTS elements, run on the
-    P_p, which are integer power sums of weight p.  D is the scale that
-    ``algebra._weighted_scale`` picks for S_1..S_upto times every prime up
-    to n, which makes each of Newton's divisions exact.
+    ``values`` holds S_1, S_2, ..., with each denominator dividing
+    ``scale**p``; beyond its end, S_p follows from S_1..S_n by Newton's
+    identities for n = N_ELEMENTS elements, run on these integers, which
+    are power sums of weight p.  Each of Newton's divisions must be exact,
+    or ``ArithmeticError`` is raised.  They are when ``scale`` is a multiple
+    of every prime up to n: j! e_j is an integer polynomial in the
+    S_p scale**p, and j! has fewer than j factors of each prime.
     """
     values = values[:upto]
-    scale = _NEWTON_PRIMES * _weighted_scale((w, v.denominator) for w, v in enumerate(values, 1))
     ints = [0, *(v.numerator * (scale**w // v.denominator) for w, v in enumerate(values, 1))]
     if upto > len(values):
         _newton(ints, [1], N_ELEMENTS, upto)
-    return {svar(p): ints[p] for p in range(1, upto + 1)}, scale
+    return ints[1:]
 
 
-def _evalues(values: Sequence[Fraction], indices: Iterable[int]) -> dict[Var, Fraction]:
-    """The E-values the identities give at power sums S_1, S_2, ... (``values``,
-    extended as in _weighted_power_sums): E_i for each i of ``indices``."""
-    indices = list(indices)
-    nums, scale = _weighted_power_sums(values, max(indices))
-    return dict(zip(map(evar, indices), evaluate_weighted([identity_poly(i) for i in indices], nums, scale)))
+@lru_cache(maxsize=None)
+def _identity_batch(indices: tuple[int, ...]) -> Batch:
+    """The batch of the identities E_i for i in ``indices``."""
+    return Batch(identity_poly(i) for i in indices)
+
+
+def _evalue_ints(values: Sequence[Fraction], scale: int, indices: tuple[int, ...]) -> list[int]:
+    """E_i * scale**i at position i - 1 for each i of ``indices``, 0 elsewhere,
+    from the power sums S_1, S_2, ... (``values``) as in ``_weighted_power_sums``.
+
+    Each is an integer once e_j * scale**j is one for every j, as it is when
+    Newton's divisions are exact: the elements times the scale are then
+    algebraic integers, and so are their k-sums and the k-sums' power sums.
+    Otherwise ``ArithmeticError`` is raised.
+    """
+    ints = _weighted_power_sums(values, scale, max(indices))
+    e = [0] * max(indices)
+    for i, v in zip(indices, _weighted_integers(_identity_batch(indices), ints, scale)):
+        e[i - 1] = v
+    return e
+
+
+def _scaled_evalues(values: Sequence[Fraction], indices: tuple[int, ...]) -> tuple[list[int], int]:
+    """``_evalue_ints`` at the scale D of these power sums, and D.
+
+    D is the scale W that ``algebra._weighted_scale`` picks for ``values``
+    when Newton's divisions are exact there, as they are when the elements
+    times W are integers, and otherwise W times every prime up to n, which
+    makes them exact.  The smaller D keeps the integers short: the primes
+    up to 12 add log2(2310), about 11.2 bits, per weight, so on 200 seeded
+    sets of integers in [-9, 9] E_26 D**26 has 110 to 228 bits at W, where
+    D is 1 to 12, against 400 to 518 with the primes.
+    """
+    scale = _weighted_scale((w, v.denominator) for w, v in enumerate(values, 1))
+    try:
+        return _evalue_ints(values, scale, indices), scale
+    except ArithmeticError:  # the elements times W are not all algebraic integers
+        scale *= _NEWTON_PRIMES
+        return _evalue_ints(values, scale, indices), scale
 
 
 def second_root(s: PowerSumVector) -> Fraction:
@@ -236,9 +293,10 @@ def second_root(s: PowerSumVector) -> Fraction:
     identities give for the E-variables of c1 and c2 (E2..E5 and E8)."""
     quad = fourteenth_quadratic()
     free = build_elimination_tables().free
-    indices = {v.index for v in quad.c1.variables() | quad.c2.variables()}
+    indices = tuple(sorted({v.index for v in quad.c1.variables() | quad.c2.variables()}))
     _require_zero_s1(s, upto=max(free, *indices))
-    return _vieta_partner(_evalues(s.values, indices), s[free])
+    e, scale = _scaled_evalues(s.values[:max(indices)], indices)
+    return _vieta_partner(e, scale, s[free])
 
 
 @lru_cache(maxsize=None)
@@ -265,6 +323,12 @@ def residual_equation_indices() -> tuple[int, ...]:
     return tuple(p for p in range(N_ELEMENTS + 1, PMAX + 1) if p != quadratic)
 
 
+@lru_cache(maxsize=None)
+def _tables_batch() -> Batch:
+    """The batch of the tables' S_1..S_n, in S_free and the E-variables."""
+    return Batch(build_elimination_tables().power_sums)
+
+
 def residual_relations(s: PowerSumVector) -> list[Fraction]:
     """Exact residuals of the compatibility equations at the second root.
 
@@ -275,23 +339,30 @@ def residual_relations(s: PowerSumVector) -> list[Fraction]:
     zero exactly when a consistent second solution exists at this level.
 
     Both members run on weight-scaled integers.  E_p, e_p, S_p and every
-    table entry for S_p have weight p, so with a scale D such that
-    den(S_p) divides D^p, the integers P_p = S_p D^p go through Newton's
-    identities up to P_PMAX and through each identity polynomial, and only
-    the value of E_p is divided, once, by D^p.  D is the W of the scale
-    rule in ``algebra`` times the primes up to n, which make Newton's
-    divisions by j exact: j! e_j is an integer polynomial in the power sums
-    and j! has fewer than j factors of each prime.  The partner's S_p come
-    from the tables as rationals and get their own scale Q by the same rule.
+    table entry for S_p have weight p, so with the set's scale D from
+    ``_scaled_evalues``, the integers P_p = S_p D^p go through Newton's
+    identities up to P_PMAX and through each identity polynomial, which
+    gives the integers E_p D^p.  These give c2 and c1, and so the second
+    root S6'' by Vieta.  Times mu^p, with mu the scale rule's pick for the
+    part of the denominator of S6'' that D^6 leaves, they are the E-values
+    over the scale D mu at which the tables give the partner's S_1..S_n.
+    The partner's side runs the same way at its own scale Q, and each
+    residual is one ``Fraction`` over L^p, for L the lcm of D and Q.
     """
     _require_zero_s1(s, upto=N_ELEMENTS)
-    evalues = _evalues(s.values[:N_ELEMENTS], range(1, PMAX + 1))
-    tables = build_elimination_tables()
-    free = svar(tables.free)
-    at_second = {**evalues, free: _vieta_partner(evalues, s[tables.free])}
+    e, scale = _scaled_evalues(s.values[:N_ELEMENTS], tuple(range(1, PMAX + 1)))
+    free = build_elimination_tables().free
+    partner = _vieta_partner(e, scale, s[free])
+    den = partner.denominator
+    mu = _weighted_scale([(free, den // gcd(den, scale**free))])  # the part of den that D**6 leaves
+    at_second = _point([v * mu**p for p, v in enumerate(e, 1)])
+    at_second[free - 1] = partner.numerator * (scale * mu) ** free // den
+    dual = _over_scale(_tables_batch(), at_second, scale * mu)
     indices = residual_equation_indices()
-    dual_evalues = _evalues(evaluate(tables.power_sums, at_second), indices)
-    return [evalues[evar(p)] - dual_evalues[evar(p)] for p in indices]
+    dual_e, dual_scale = _scaled_evalues(dual, indices)
+    common = lcm(scale, dual_scale)
+    up, dual_up = common // scale, common // dual_scale
+    return [Fraction(e[p - 1] * up**p - dual_e[p - 1] * dual_up**p, common**p) for p in indices]
 
 
 def _require_zero_s1(s: PowerSumVector, upto: int) -> None:

@@ -204,9 +204,12 @@ def power_sum_vector(a: NumberMultiset, m: int) -> PowerSumVector:
 
 
 def affine_image(a: NumberMultiset, scale: RationalLike, shift: RationalLike) -> NumberMultiset:
-    """The multiset {scale * x + shift}."""
-    t, c = Fraction(scale), Fraction(shift)
-    return as_multiset(t * x + c for x in a)
+    """The multiset {scale * x + shift}, formed on integer numerators: with
+    ``a``, ``scale`` and ``shift`` over one denominator d, each image is an
+    integer over d**2, and one ``Fraction`` is made per distinct image."""
+    (*ints, t, c), den = over_common_denominator([*a, Fraction(scale), Fraction(shift)])
+    images = sorted([t * x + c * den for x in ints])
+    return _from_runs((Fraction(v, den * den), len(list(run))) for v, run in groupby(images))
 
 
 def centred_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksumlab.algebra import (
+    Batch,
     Monomial,
     Poly,
     UnboundVariableError,
     Var,
+    _weighted_integers,
     evaluate,
     evaluate_weighted,
     evar,
@@ -104,7 +106,7 @@ def test_evaluate_requires_all_variables():
     with pytest.raises(UnboundVariableError):
         Poly.parse("S3^2 - S6").evaluate({svar(3): 3})
     with pytest.raises(UnboundVariableError) as caught:
-        Poly.parse("S3^2 - S6 + E2").evaluate_weighted({svar(3): 1, svar(6): 1}, 2)
+        evaluate_weighted([Poly.parse("S3^2 - S6 + E2")], {svar(3): 1, svar(6): 1}, 2)
     assert str(caught.value) == "'no value bound for E2'"
     assert evaluate([], {}) == evaluate_weighted([], {}, 3) == []
 
@@ -112,11 +114,11 @@ def test_evaluate_requires_all_variables():
 def test_evaluate_weighted_examples():
     # S2 = 3/4, S3 = 5/8 and E2 = 7/4 over the scale 2
     numerators = {svar(2): 3, svar(3): 5, evar(2): 7}
-    assert Poly.parse("S2^3 - S3^2").evaluate_weighted(numerators, 2) == Fraction(27, 64) - Fraction(25, 64)
-    assert Poly.parse("1/3*S2*E2 + S3").evaluate_weighted(numerators, 2) == Fraction(7, 16) + Fraction(5, 8)
-    assert Poly.zero().evaluate_weighted({}, 5) == 0
+    assert evaluate_weighted([Poly.parse("S2^3 - S3^2")], numerators, 2) == [Fraction(27, 64) - Fraction(25, 64)]
+    assert evaluate_weighted([Poly.parse("1/3*S2*E2 + S3")], numerators, 2) == [Fraction(7, 16) + Fraction(5, 8)]
+    assert evaluate_weighted([Poly.zero()], {}, 5) == [0]
     with pytest.raises(UnboundVariableError, match="S3"):
-        Poly.parse("S3^2 - S6").evaluate_weighted({svar(6): 1}, 1)
+        evaluate_weighted([Poly.parse("S3^2 - S6")], {svar(6): 1}, 1)
 
 
 def test_render_canonical_order():
@@ -237,7 +239,7 @@ def test_evaluate_weighted_matches_evaluate(data):
     scale = data.draw(st.integers(1, 12))
     env = {var: Fraction(nums[var.index - 1], scale**var.index) for var in _VARS}
     weighted = {var: nums[var.index - 1] for var in _VARS}
-    assert p.evaluate_weighted(weighted, scale) == p.evaluate(env)
+    assert evaluate_weighted([p], weighted, scale) == [p.evaluate(env)]
 
 
 def test_parse_rejects_bad_exponents():
@@ -296,6 +298,7 @@ def test_batch_evaluate_matches_a_fraction_oracle(batch, data):
     got = evaluate(batch, values)
     assert got == [oracle_value(p, values) for p in batch]
     assert got == [p.evaluate(values) for p in batch]
+    assert evaluate(Batch(batch), values) == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +309,8 @@ def test_batch_evaluate_weighted_matches_a_fraction_oracle(batch, data):
     values = {v: Fraction(n, scale**v.index) for v, n in numerators.items()}
     got = evaluate_weighted(batch, numerators, scale)
     assert got == [oracle_value(p, values) for p in batch]
-    assert got == [p.evaluate_weighted(numerators, scale) for p in batch]
+    assert got == [evaluate_weighted([p], numerators, scale)[0] for p in batch]
+    assert evaluate_weighted(Batch(batch), numerators, scale) == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,6 +327,23 @@ def test_batch_evaluation_names_the_first_unbound_variable(batch, bound):
         assert caught.value.args == (f"no value bound for {min(unbound)}",)
 
 
+def test_one_batch_serves_many_points():
+    batch = Batch([Poly.parse("S2^3 - 1/3*S2*E2"), Poly.zero(), Poly.parse("2*S2*E2^2 + 5")])
+    for x, y in [(Fraction(1, 2), 3), (Fraction(-7, 5), Fraction(2, 9)), (0, 0)]:
+        values = {svar(2): x, evar(2): y}
+        assert evaluate(batch, values) == [oracle_value(p, values) for p in batch.polys]
+
+
+def test_weighted_integers_refuse_a_value_off_the_scale():
+    # 1/2*S2 at S2 = 2 / 1**2 is the integer 1, and at S2 = 1 it is 1/2
+    batch = Batch([Poly.parse("1/2*S2"), Poly.parse("3*E2")])
+    point = {1: 2, 65: 7}  # by slot: S2 is slot 1 and E2 is slot 65
+    assert _weighted_integers(batch, point, 1) == [1, 21]
+    assert _weighted_integers(batch, point, 3) == [1, 21]  # value times 3**2, both of weight 2
+    with pytest.raises(ArithmeticError):
+        _weighted_integers(batch, {1: 1, 65: 7}, 1)
+
+
 def test_one_plan_serves_both_evaluations():
     p = Poly.parse("3/7*S2^3*E5 - 5*S2^2*E5 + 1/3*E2*S12 + 2")
     assert p.variables() == {svar(2), svar(12), evar(2), evar(5)}
@@ -330,7 +351,7 @@ def test_one_plan_serves_both_evaluations():
     p.evaluate({v: Fraction(1, 3) for v in p.variables()})
     plan = p._plan_cache
     assert plan is not None
-    p.evaluate_weighted({v: 2 for v in p.variables()}, 5)
+    evaluate_weighted([p], {v: 2 for v in p.variables()}, 5)
     assert p._plan_cache is plan
 
 

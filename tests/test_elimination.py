@@ -1,10 +1,15 @@
 """Elimination pipeline: tables, the S_6 quadratic, roots, residuals."""
 
+import functools
 import hashlib
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identity_tables import LOW_TABLE, S7_CONDITION_TABLE, SECOND_ROOT_TABLE
 from ksumlab import elimination
@@ -278,10 +283,10 @@ def weighted_scale(values):
 def test_weighted_scale_examples():
     # den(S_p) | W^p: 4 | 2^2 and 8 | 2^3, so 2 and not the lcm 8
     assert weighted_scale([Fraction(0), Fraction(1, 4), Fraction(1, 8)]) == 2
-    # certification multiplies in the primes up to 12
+    # with the primes up to 12, which make Newton's divisions exact
     d = 2 * 3 * 5 * 7 * 11
-    assert elimination._weighted_power_sums([Fraction(0), Fraction(1, 4), Fraction(1, 8)], 3) == (
-        {svar(1): 0, svar(2): d**2, svar(3): d**3}, 2 * d)
+    assert elimination._weighted_power_sums([Fraction(0), Fraction(1, 4), Fraction(1, 8)], 2 * d, 3) == [
+        0, d**2, d**3]
     # a leftover prime first seen to the power one enters once
     assert weighted_scale([Fraction(1, 101), Fraction(2, 101**2)]) == 101
     # two values of one weight, as S_2 and E_2 are, give one scale in either order
@@ -312,9 +317,81 @@ def test_weighted_scale_fits_every_weight():
                   for _ in range(rng.randint(1, 12))]
         scale = weighted_scale(values)
         assert all(scale**w % v.denominator == 0 for w, v in enumerate(values, 1))
-        nums, scale = elimination._weighted_power_sums(values, len(values))
+        scale = elimination._NEWTON_PRIMES * weighted_scale(values)
+        nums = elimination._weighted_power_sums(values, scale, len(values))
         assert scale % (2 * 3 * 5 * 7 * 11) == 0
-        assert [Fraction(nums[svar(w)], scale**w) for w in range(1, len(values) + 1)] == values
+        assert [Fraction(n, scale**w) for w, n in enumerate(nums, 1)] == values
+
+
+def reference_weighted_scale(weighted):
+    """The scale rule as first written, kept as the reference: it forms W**w
+    for every (weight, denominator) pair."""
+    scale = 1
+    for weight, den in sorted(weighted):
+        left = den // gcd(den, scale**weight)
+        if left > 1:
+            root = _integer_root(left, weight)
+            scale *= root if root**weight == left else left
+    return scale
+
+
+denominators = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(lambda b, e, c: b**e * c, st.integers(1, 40), st.integers(1, 8), st.sampled_from([1, 1, 2, 3, 7, 12])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 26), denominators), max_size=14))
+def test_weighted_scale_matches_the_reference_rule(weighted):
+    assert _weighted_scale(weighted) == reference_weighted_scale(weighted)
+    assert _weighted_scale([(w, 1) for w, _ in weighted]) == 1
+
+
+def test_evalues_are_integers_at_the_sets_scale():
+    # E_p D^p against the power sums of the direct k-sums, which share no code with the evaluator
+    rng = random.Random(2626)
+    sets = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(6)]
+    sets += [[Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(12)] for _ in range(6)]
+    indices = tuple(range(1, 27))
+    for values in [*sets, COLLISION_FIRST, DOUBLE_ROOT_SET]:
+        centred = affine_image(as_multiset(values), 1, -Fraction(sum(values), 12))
+        direct = e_power_sums(centred, 4, 26)
+        power_sums = power_sum_vector(centred, 12).values
+        e, scale = elimination._scaled_evalues(power_sums, indices)
+        assert all(isinstance(v, int) for v in e)
+        assert e == [direct[p] * scale**p for p in indices]
+        # the scale with the primes up to 12, which always works
+        scale = elimination._NEWTON_PRIMES * weighted_scale(power_sums)
+        assert elimination._evalue_ints(power_sums, scale, indices) == [direct[p] * scale**p for p in indices]
+
+
+def test_evalues_off_their_scale_raise():
+    # S_2 = 1 alone: e_2 = -S_2 / 2 is no integer over the scale 1, which lacks
+    # the primes up to 12, so neither are the S_p and E_p past p = 12
+    point = [Fraction(0), Fraction(1), *[Fraction(0)] * 10]
+    indices = tuple(range(1, 27))
+    with pytest.raises(ArithmeticError):
+        elimination._evalue_ints(point, 1, indices)
+    e, scale = elimination._scaled_evalues(point, indices)
+    assert scale == 2 * 3 * 5 * 7 * 11
+    extended = {svar(q): v for q, v in enumerate(newton_extend(point, 12, 26), 1)}
+    assert e == [elimination.identity_poly(p).evaluate(extended) * scale**p for p in indices]
+
+
+def test_batch_caches_empty_with_every_lru_cache():
+    s = centred_power_sums([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], 12)
+    before = (residual_relations(s), second_root(s), quadratic_at(e_power_sums(as_multiset(range(12)), 4, 14)))
+    batches = [elimination._identity_batch, elimination._quadratic_batch, elimination._tables_batch]
+    assert all(batch.cache_info().currsize for batch in batches)
+    for name, module in list(sys.modules.items()):
+        if name == "ksumlab" or name.startswith("ksumlab."):
+            for value in vars(module).values():
+                if isinstance(value, functools._lru_cache_wrapper):
+                    value.cache_clear()
+    assert [batch.cache_info().currsize for batch in batches] == [0, 0, 0]
+    after = (residual_relations(s), second_root(s), quadratic_at(e_power_sums(as_multiset(range(12)), 4, 14)))
+    assert after == before
 
 
 def fraction_residuals(s):

@@ -225,6 +225,17 @@ def test_ksums_affine_equivariance(data):
     assert ksums(image, k).sums == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1, max_size=12).map(as_multiset),
+    st.one_of(st.just(0), st.integers(-7, 7), rationals),
+    st.one_of(st.integers(-7, 7), rationals),
+)
+def test_affine_image_matches_the_fraction_map(a, t, c):
+    # scale 0, negative scales and rational shifts, against the image taken in Fractions
+    assert affine_image(a, t, c) == as_multiset(t * x + c for x in a)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_canonical_orbit_constant_on_orbits(data):
