@@ -6,7 +6,12 @@ sums: symmetric-function identities linking the power sums of the k-sums
 to those of the base set, an elimination pipeline that reduces the
 (n, k) = (12, 4) case to a quadratic, residual checks certifying known
 ambiguous pairs, and a bounded exhaustive collision search.
+
+``import ksumlab`` loads every layer but ``search``, which loads on first
+use of one of its names.
 """
+
+from importlib import import_module
 
 from .algebra import (
     Monomial,
@@ -38,20 +43,12 @@ from .multisets import (
     SumMultiset,
     affine_image,
     as_multiset,
-    centred_power_sums,
     collision_class_key,
     format_multiset,
     ksums,
     parse_multiset,
     power_sum,
     power_sum_vector,
-)
-from .search import (
-    CollisionRecord,
-    SearchSpec,
-    dedupe_records,
-    find_collisions,
-    verify_record,
 )
 from .symfunc import (
     BadRangeError,
@@ -60,7 +57,6 @@ from .symfunc import (
     elementary_in_power_sums,
     load_identity_fixtures,
     macmahon_reduce,
-    newton_extend,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "affine_image",
     "as_multiset",
     "build_elimination_tables",
-    "centred_power_sums",
     "coefficient_report",
     "collision_class_key",
     "dedupe_records",
@@ -100,7 +95,6 @@ __all__ = [
     "ksums",
     "load_identity_fixtures",
     "macmahon_reduce",
-    "newton_extend",
     "parse_multiset",
     "power_sum",
     "power_sum_vector",
@@ -113,3 +107,13 @@ __all__ = [
     "svar",
     "verify_record",
 ]
+
+_SEARCH_NAMES = {"CollisionRecord", "SearchSpec", "dedupe_records", "find_collisions", "verify_record"}
+
+
+def __getattr__(name: str):
+    """Load ``search`` on first use of it or of one of its names."""
+    if name == "search" or name in _SEARCH_NAMES:
+        search = import_module(".search", __name__)  # not "from . import", which looks the name up here first
+        return search if name == "search" else getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -57,13 +57,14 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, total_ordering
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .record import Record
 
 RationalLike = Union[int, Fraction]
 
@@ -99,18 +100,17 @@ class UnboundVariableError(KeyError):
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """An indexed formal variable, one of the families S1, S2, ... / E1, E2, ..."""
 
-    family: str
-    index: int
+    __slots__ = ("family", "index")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_RANK:
-            raise ValueError(f"unknown variable family {self.family!r}")
-        if not 1 <= self.index <= MAX_INDEX:
-            raise ValueError(f"variable index must be in 1..{MAX_INDEX}, got {self.index}")
+    def __init__(self, family: str, index: int) -> None:
+        if family not in _FAMILY_RANK:
+            raise ValueError(f"unknown variable family {family!r}")
+        if not 1 <= index <= MAX_INDEX:
+            raise ValueError(f"variable index must be in 1..{MAX_INDEX}, got {index}")
+        self._set(family, index)
 
     def sort_key(self) -> tuple[int, int]:
         return (_FAMILY_RANK[self.family], self.index)

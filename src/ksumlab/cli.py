@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .algebra import Monomial, Poly, svar
 from .elimination import (
@@ -42,7 +41,6 @@ from .multisets import (
     ksums,
     parse_multiset,
 )
-from .search import SearchSpec, find_collisions
 from .symfunc import (
     e_expansion,
     e_power_sums,
@@ -116,6 +114,8 @@ def _fixture_polys() -> dict[int, Poly]:
         with open(override, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     else:
+        from importlib import resources
+
         text = resources.files("ksumlab").joinpath("fixtures/identities_k4_n12.txt").read_text()
         lines = text.splitlines()
     return load_identity_fixtures(lines)
@@ -201,6 +201,8 @@ def _same_file(first: str, second: str) -> bool:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchSpec, find_collisions
+
     spec = SearchSpec(n=args.n, k=args.k, bound=args.bound, symmetric_only=args.symmetric)
     if args.out and args.resume and _same_file(args.out, args.resume):
         raise ValueError(f"--out {args.out} and --resume {args.resume} name the same file")

@@ -18,7 +18,6 @@ evaluate the cached polynomials, each fixed set of them through one cached
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -38,6 +37,7 @@ from .algebra import (
     svar,
 )
 from .multisets import PowerSumVector
+from .record import Record
 from .symfunc import BadRangeError, _newton, e_expansion
 
 N_ELEMENTS = 12
@@ -63,13 +63,14 @@ def identity_poly(p: int) -> Poly:
     return e_expansion(p, K_SUM, N_ELEMENTS, True)
 
 
-@dataclass(frozen=True)
-class EliminationTables:
+class EliminationTables(Record):
     """Solved power sums: power_sums[p - 1] is S_p for p = 1..n, in S_free
     and the E-variables; S_1 = 0 and S_free is its own variable."""
 
-    power_sums: tuple[Poly, ...]
-    free: int
+    __slots__ = ("power_sums", "free")
+
+    def __init__(self, power_sums: tuple[Poly, ...], free: int) -> None:
+        self._set(power_sums, free)
 
 
 def _solve_linear(poly: Poly, var: Var, label: str) -> Poly:
@@ -125,14 +126,13 @@ def _first_of_degree(degree: int) -> tuple[int, dict[int, Poly]]:
     raise NonLinearPivotError(f"no equation from {N_ELEMENTS + 1} to {PMAX} has degree {degree} in S_free")
 
 
-@dataclass(frozen=True)
-class QuadraticInS6:
+class QuadraticInS6(Record):
     """Equation ``index`` as c2*S_free^2 + c1*S_free + c0 = E_index over the E-variables."""
 
-    c2: Poly
-    c1: Poly
-    c0: Poly
-    index: int
+    __slots__ = ("c2", "c1", "c0", "index")
+
+    def __init__(self, c2: Poly, c1: Poly, c0: Poly, index: int) -> None:
+        self._set(c2, c1, c0, index)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby, repeat
 from math import comb, gcd, log10
@@ -16,6 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .algebra import RationalLike, over_common_denominator
+from .record import Record
 
 NumberMultiset = tuple[Fraction, ...]
 
@@ -92,17 +92,16 @@ def format_runs(runs: Iterable[tuple[Fraction, int]]) -> str:
     return " ".join(str(v) if count == 1 else f"{v}^{count}" for v, count in runs)
 
 
-@dataclass(frozen=True)
-class SumMultiset:
+class SumMultiset(Record):
     """The multiset of all k-element sums of a source multiset, held like a
     ``Poly``: ascending ``numerators`` over one positive ``denominator`` in
     lowest terms, so equal multisets have equal fields.  ``sums`` is the
     ``Fraction`` view."""
 
-    numerators: tuple[int, ...]
-    denominator: int
-    source_n: int
-    source_k: int
+    __slots__ = ("numerators", "denominator", "source_n", "source_k")
+
+    def __init__(self, numerators: tuple[int, ...], denominator: int, source_n: int, source_k: int) -> None:
+        self._set(numerators, denominator, source_n, source_k)
 
     @property
     def sums(self) -> tuple[Fraction, ...]:
@@ -171,11 +170,13 @@ def power_sum(a: NumberMultiset, p: int) -> Fraction:
     return power_sum_vector(a, p)[p] if p else Fraction(len(a))
 
 
-@dataclass(frozen=True)
-class PowerSumVector:
+class PowerSumVector(Record):
     """Power sums of one multiset, 1-indexed: vector[p] is the p-th power sum."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        self._set(values)
 
     def __getitem__(self, p: int) -> Fraction:
         if not 1 <= p <= len(self.values):
@@ -217,11 +218,6 @@ def centred_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:
     ints, den = over_common_denominator(values)
     size, total = len(ints), sum(ints)
     return [size * x - total for x in ints], size * den
-
-
-def centred_power_sums(values: Sequence[RationalLike], m: int) -> PowerSumVector:
-    """Power sums 1..m of the multiset shifted so that its elements sum to zero."""
-    return _power_sums(*centred_numerators(values), m)
 
 
 def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...], ...]:

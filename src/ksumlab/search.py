@@ -39,7 +39,6 @@ import json
 import os
 import sys
 from contextlib import ExitStack, closing
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, groupby, islice
 from math import comb
@@ -47,6 +46,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 from .multisets import (
     NumberMultiset,
+    Record,
     approximate,
     check_sum_count,
     collision_class_key,
@@ -66,27 +66,24 @@ MAX_LISTING_BYTES = 200_000_000
 MAX_BUCKET_WORK = 6_000_000
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    n: int
-    k: int
-    bound: int
-    symmetric_only: bool = False
+class SearchSpec(Record):
+    __slots__ = ("n", "k", "bound", "symmetric_only")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {self.bound}")
-        if self.symmetric_only and self.n % 2:
+    def __init__(self, n: int, k: int, bound: int, symmetric_only: bool = False) -> None:
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
+        if symmetric_only and n % 2:
             raise ValueError("symmetric mode needs an even n")
+        self._set(n, k, bound, symmetric_only)
 
 
-@dataclass(frozen=True)
-class CollisionRecord:
-    first: NumberMultiset
-    second: NumberMultiset
-    k: int
+class CollisionRecord(Record):
+    __slots__ = ("first", "second", "k")
+
+    def __init__(self, first: NumberMultiset, second: NumberMultiset, k: int) -> None:
+        self._set(first, second, k)
 
 
 def _candidate_count(spec: SearchSpec) -> tuple[int, bool]:

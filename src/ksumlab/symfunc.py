@@ -3,23 +3,50 @@
 Two layers, each checked against direct evaluation:
 
 * reduction of S_m for m > n to a polynomial in S_1..S_n, valid for every
-  n-element multiset, derived from Newton's identities through the
-  elementary symmetric functions vanishing beyond degree n;
+  n-element multiset, in closed form up to S_{2n+2} and by Newton's
+  identities above it, through the elementary symmetric functions
+  vanishing beyond degree n;
 * the expansion of E_p, the p-th power sum of the k-sum multiset, as a
   polynomial identity in S_1..S_p, by Newton's identities for the
   shifted exponentials e^{t x_i} - 1.
+
+The closed form.  For n elements, E_n(t) = sum_j (-1)^j e_j t^j is the
+product of the 1 - x_i t, so -log E_n(t) = sum_m S_m t^m / m.  Write
+P(t) = sum_{p<=n} S_p t^p / p.  Then exp(-P) agrees with E_n up to t^n,
+its e_j being polynomials in S_1..S_j alone, so E_n = exp(-P) - R with R
+of order n + 1, and
+
+    sum_{m>n} S_m t^m / m = -log(E_n(t) exp(P(t))) = -log(1 - G),
+    G = R exp(P) = G_{n+1} t^{n+1} + G_{n+2} t^{n+2} + ...
+
+Expanding exp(-P) and exp(P) over partitions, with z_lambda =
+prod_i i^(m_i) m_i! for a partition lambda with m_i parts equal to i,
+and grouping the pairs (alpha, lambda - alpha) of a sub-multiset alpha
+whose parts sum above n, gives G_w = -B_w, where
+
+    B_w = sum_lambda b(lambda) S^lambda / z_lambda,
+    b(lambda) = sum_{d<=n} [u^d] prod_i (1 - u^i)^(m_i),
+
+over the partitions lambda of w into parts <= n: the sum over every
+alpha is prod_i (1 - 1)^(m_i) = 0, so the part above n is minus the part
+b(lambda) up to n.  As G^2 starts at t^(2n+2) and G^3 at t^(3n+3),
+-log(1 - G) = G + G^2 / 2 + ... gives S_m = -m B_m for m <= 2n + 1 and
+S_{2n+2} = (n + 1)(B_{n+1}^2 - 2 B_{2n+2}).  The partitions are built
+weight by weight, each from one of lower weight by appending a part no
+larger than its smallest, carrying its key, z_lambda and its product
+prod_i (1 - u^i)^(m_i) / (1 - u) mod u^(n+1), whose coefficient of u^n is
+b(lambda).
 
 All symbolic results are memoized; they are pure values and safe to share.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, factorial
+from typing import Iterable
 
-from .algebra import Poly, RationalLike, svar
+from .algebra import _SHIFTS, _UNITS, Poly, svar
 from .multisets import NumberMultiset, PowerSumVector, ksums
 
 # e_expansion is refused before any work when its cost, _term_bound(p, k)
@@ -86,32 +113,100 @@ def elementary_in_power_sums(j: int) -> Poly:
     return e[j]
 
 
+Run = tuple[list[int], list[int], list[int]]  # keys, z_lambda and packed products; see _levels
+
+
+def _appended(runs: Iterable[Run], unit: int, factor: int, step: int, mask: int) -> Run:
+    """The partitions of ``runs`` with one more part i, in one run: ``unit`` is
+    the key of S_i, ``factor`` what z_lambda gains, and ``step`` the shift
+    by i fields that multiplies the product by u^i."""
+    keys: list[int] = []
+    zs: list[int] = []
+    products: list[int] = []
+    for run_keys, run_zs, run_products in runs:
+        keys += [key + unit for key in run_keys]
+        zs += [z * factor for z in run_zs]
+        products += [(q - (q << step)) & mask for q in run_products]
+    return keys, zs, products
+
+
+@lru_cache(maxsize=1)
+def _levels(w: int, n: int) -> tuple[list[list[Run]], ...]:
+    """The partitions of w, w - 1, ..., w - n + 1 into parts <= n, as far as
+    the levels above w still extend them.
+
+    ``_levels(w, n)[j]`` is level w - j, a list by smallest part s (n + 1
+    for the empty partition) of runs by the count c of parts s, each run
+    three lists over its partitions lambda: the key of S^lambda shifted
+    down to S_n's field; z_lambda; and the product of the (1 - u^i)^(m_i)
+    times 1 + u + ... + u^n, mod u^(n+1), packed as an int whose field d
+    holds the coefficient of u^d, all mod 2^((n+1)(2n+4)).  Field n is then
+    b(lambda).  A field is 2n + 4 bits wide, as no coefficient of a
+    partition of weight up to 2n + 2 exceeds 2^(2n+2) in size.
+
+    Level w is made from the levels w - i by appending a part i no larger
+    than their smallest, which multiplies z_lambda by i times the new count
+    of parts i.  Level w - j keeps only its partitions with smallest part
+    above j, the ones a later level extends, so the window holds about as
+    many partitions as level w + 1.
+    """
+    width = 2 * n + 4
+    if w == 0:
+        level: list[list[Run]] = [[] for _ in range(n + 2)]
+        level[n + 1] = [([0], [1], [sum(1 << d * width for d in range(n + 1))])]
+        return (level,)
+    below = _levels(w - 1, n)
+    mask, shift = (1 << (n + 1) * width) - 1, _SHIFTS[n - 1]
+    level = [[] for _ in range(n + 2)]
+    for i in range(1, min(w, n) + 1):
+        source, unit, step = below[i - 1], _UNITS[i - 1] >> shift, i * width
+        larger = [run for group in source[i + 1:] for run in group]
+        level[i] = [_appended(larger, unit, i, step, mask)]
+        level[i] += [_appended([run], unit, i * c, step, mask) for c, run in enumerate(source[i], 2)]
+    trimmed = [source[:j] + [[]] + source[j + 1:] for j, source in enumerate(below[:n - 1], 1)]
+    return (level, *trimmed)
+
+
+def _scaled_b(w: int, n: int, scale: int) -> Poly:
+    """scale * B_w, the sum of b(lambda) S^lambda / z_lambda over the partitions
+    lambda of w into parts <= n (see the module docstring)."""
+    width = 2 * n + 4
+    mask, shift, half = (1 << (n + 1) * width) - 1, _SHIFTS[n - 1], 1 << width - 1
+    # half added to every field makes each coefficient nonnegative, so field n then reads b + half
+    offset = half * sum(1 << d * width for d in range(n + 1))
+    den = factorial(w)
+    num = {}
+    for group in _levels(w, n)[0]:
+        for keys, zs, products in group:
+            for key, z, q in zip(keys, zs, products):
+                b = (((q + offset) & mask) >> n * width) - half
+                if b:
+                    num[key << shift] = scale * b * (den // z)
+    return Poly._make(num, den)
+
+
 @lru_cache(maxsize=None)
 def macmahon_reduce(m: int, n: int) -> Poly:
     """S_m for m > n as a polynomial in S_1..S_n, an identity for n elements.
 
-    Every element is a root of the degree-n polynomial with the elementary
+    Up to S_{2n+2} it is the closed form of the module docstring; above,
+    every element is a root of the degree-n polynomial with the elementary
     symmetric functions as coefficients, so S_m follows from the reductions
     below it by one step of the recurrence in ``_newton``.
     """
     if n < 1 or m <= n:
         raise BadRangeError(f"need m > n >= 1, got m={m}, n={n}")
+    svar(n)  # the result is in S_1..S_n, so n must be a valid index (ValueError otherwise)
+    if n + 1 < m <= 2 * n + 2:
+        macmahon_reduce(m - 1, n)  # so that _levels, which keeps one window, is built in ascending order
+    if m <= 2 * n + 1:
+        return _scaled_b(m, n, -m)
+    if m == 2 * n + 2:  # (n + 1) B_{n+1}^2 is S_{n+1}^2 / (n + 1)
+        low = macmahon_reduce(n + 1, n)
+        return Poly.dot([(1, low, low / (n + 1)), (1, _scaled_b(m, n, -2 * (n + 1)), Poly.const(1))])
     s = [None] + [Poly.variable(svar(p)) if p <= n else macmahon_reduce(p, n) for p in range(1, m)]
     _newton(s, [elementary_in_power_sums(j) for j in range(n + 1)], n, m)
     return s[m]
-
-
-def newton_extend(powersums: Sequence[RationalLike], n: int, upto: int) -> list[Fraction]:
-    """Extend numeric power sums S_1..S_n of an n-element multiset up to S_upto.
-
-    Returns the list [S_1, ..., S_upto], by the recurrence that
-    macmahon_reduce applies to polynomials.
-    """
-    if len(powersums) < n:
-        raise BadRangeError(f"need S_1..S_{n}, got only {len(powersums)} entries")
-    s = [Fraction(0)] + [Fraction(v) for v in powersums]  # s[p] = S_p
-    _newton(s, [Fraction(1)], n, upto)
-    return s[1:upto + 1]
 
 
 def _surjections(m: int, r: int) -> int:

@@ -33,13 +33,13 @@ from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import (
     affine_image,
     as_multiset,
-    centred_power_sums,
     parse_multiset,
     power_sum,
     power_sum_vector,
     PowerSumVector,
 )
-from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums, macmahon_reduce, newton_extend
+from ksumlab.symfunc import BadRangeError, e_expansion, e_power_sums, macmahon_reduce
+from power_sum_oracles import centred_power_sums, newton_extend
 
 
 def random_centered_sets(seed, count, size=12):

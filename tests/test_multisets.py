@@ -1,5 +1,6 @@
 """Multiset core: parsing, k-sums, power sums, affine canonical forms."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -16,7 +17,7 @@ from ksumlab.multisets import (
     affine_image,
     approximate,
     as_multiset,
-    centred_power_sums,
+    centred_numerators,
     collision_class_key,
     comb_at_least,
     format_multiset,
@@ -25,7 +26,9 @@ from ksumlab.multisets import (
     parse_multiset,
     power_sum,
     power_sum_vector,
+    _power_sums,
 )
+from power_sum_oracles import centred_power_sums
 
 
 def test_parse_literals():
@@ -161,9 +164,18 @@ def test_comb_at_least_is_exact_to_twenty_and_past_every_ceiling_beyond():
 
 
 def test_centred_power_sums_examples():
-    assert centred_power_sums(as_multiset([1, 2, 3]), 3).values == (0, 2, 0)
-    assert centred_power_sums(as_multiset([0, 1]), 2).values == (0, Fraction(1, 2))
-    assert centred_power_sums(COLLISION_FIRST, 12) == power_sum_vector(COLLISION_FIRST, 12)
+    # the package centres on integer numerators, as the CLI does; the test helper in Fractions
+    def centred(values, m):
+        return _power_sums(*centred_numerators(values), m)
+
+    for power_sums in (centred, centred_power_sums):
+        assert power_sums(as_multiset([1, 2, 3]), 3).values == (0, 2, 0)
+        assert power_sums(as_multiset([0, 1]), 2).values == (0, Fraction(1, 2))
+        assert power_sums(COLLISION_FIRST, 12) == power_sum_vector(COLLISION_FIRST, 12)
+    rng = random.Random(5151)
+    for _ in range(20):
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(1, 9))]
+        assert centred(values, 6) == centred_power_sums(values, 6)
 
 
 def _orbit(a):

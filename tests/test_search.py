@@ -23,7 +23,7 @@ import ksumlab
 from ksumlab import search
 from ksumlab.elimination import residual_relations
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND
-from ksumlab.multisets import affine_image, centred_power_sums, ksums, parse_multiset, power_sum
+from ksumlab.multisets import affine_image, ksums, parse_multiset, power_sum
 from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
@@ -32,6 +32,7 @@ from ksumlab.search import (
     find_collisions,
     verify_record,
 )
+from power_sum_oracles import centred_power_sums
 
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -3,8 +3,9 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -17,6 +18,7 @@ from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
 from ksumlab.multisets import as_multiset, power_sum
 from ksumlab.symfunc import (
     MAX_EXPANSION_COST,
+    _levels,
     _newton,
     _onto_sums,
     _term_bound,
@@ -26,8 +28,8 @@ from ksumlab.symfunc import (
     elementary_in_power_sums,
     load_identity_fixtures,
     macmahon_reduce,
-    newton_extend,
 )
+from power_sum_oracles import newton_extend
 
 
 def svalues(a, upto):
@@ -127,6 +129,44 @@ def test_macmahon_evaluation_oracle():
                 assert macmahon_reduce(m, n).evaluate(env) == power_sum(a, m)
 
 
+def test_closed_form_matches_a_newton_recurrence():
+    # S_m up to S_{2n+2} comes from the closed form and above it from Newton's
+    # identities in the package; m up to 2n + 4 crosses both boundaries
+    for n in range(1, 9):
+        reference = newton_extend([Poly.variable(svar(p)) for p in range(1, n + 1)], n, 2 * n + 4)
+        for m in range(n + 1, 2 * n + 5):
+            assert macmahon_reduce(m, n) == reference[m - 1], (m, n)
+
+
+def test_closed_form_coefficients_are_the_brute_force_b():
+    # S_m = -m B_m below 2n + 2, so the coefficient of S^lambda is -m b(lambda) / z_lambda, with
+    # b(lambda) the sum over sub-multisets alpha of lambda of size <= n of (-1)^l(alpha) prod_i C(m_i, a_i)
+    for n in range(1, 6):
+        for m in range(n + 1, 2 * n + 2):
+            poly, terms = macmahon_reduce(m, n), 0
+            for parts in _partitions(m, m, n):
+                counts = Counter(parts)
+                z = prod(i**c * factorial(c) for i, c in counts.items())
+                b = sum(
+                    (-1) ** sum(taken) * prod(comb(c, a) for c, a in zip(counts.values(), taken))
+                    for taken in product(*[range(c + 1) for c in counts.values()])
+                    if sum(i * a for i, a in zip(counts, taken)) <= n
+                )
+                assert poly.coefficient({svar(i): c for i, c in counts.items()}) * z == -m * b, (parts, n)
+                terms += b != 0
+            assert len(poly) == terms
+
+
+def test_closed_form_builds_each_level_once_in_any_call_order():
+    # _levels keeps one window of partition levels, so calls from S_{2n+2} down must not rebuild it
+    n = 7
+    macmahon_reduce.cache_clear()
+    _levels.cache_clear()
+    for m in range(2 * n + 2, n, -1):
+        macmahon_reduce(m, n)
+    assert _levels.cache_info().misses == 2 * n + 3  # levels 0..2n+2
+
+
 def test_newton_extend_matches_direct():
     rng = random.Random(400)
     for n in (2, 4, 5):
@@ -136,13 +176,18 @@ def test_newton_extend_matches_direct():
 
 
 def test_newton_extend_stays_exact_on_int_input():
-    # e_j = (...) / j must never become an int / int float division
-    got = newton_extend([1, 2, 3, 4], 4, 10)
-    assert all(type(v) is Fraction for v in got)
-    assert got == [1, 2, 3, 4] + [
+    # e_j = (...) / j must never become an int / int float division, in the
+    # oracle or in the package's recurrence on Fractions
+    expected = [1, 2, 3, 4] + [
         Fraction(139, 24), Fraction(197, 24), Fraction(559, 48),
         Fraction(2383, 144), Fraction(13535, 576), Fraction(9611, 288),
     ]
+    got = newton_extend([1, 2, 3, 4], 4, 10)
+    s = [Fraction(0), *map(Fraction, [1, 2, 3, 4])]
+    _newton(s, [Fraction(1)], 4, 10)
+    for values in (got, s[1:]):
+        assert all(type(v) is Fraction for v in values)
+        assert values == expected
 
 
 def test_newton_on_ints_divides_exactly_or_raises():
