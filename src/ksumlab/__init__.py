@@ -84,7 +84,6 @@ __all__ = [
     "build_elimination_tables",
     "coefficient_report",
     "collision_class_key",
-    "dedupe_records",
     "e_expansion",
     "e_power_sums",
     "elementary_in_power_sums",
@@ -108,7 +107,7 @@ __all__ = [
     "verify_record",
 ]
 
-_SEARCH_NAMES = {"CollisionRecord", "SearchSpec", "dedupe_records", "find_collisions", "verify_record"}
+_SEARCH_NAMES = {"CollisionRecord", "SearchSpec", "find_collisions", "verify_record"}
 
 
 def __getattr__(name: str):

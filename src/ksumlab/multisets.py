@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, groupby, repeat
 from math import comb, gcd, log10
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
 from .algebra import RationalLike, over_common_denominator
@@ -223,18 +223,15 @@ def centred_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:
 def collision_class_key(*parts: Sequence[RationalLike]) -> tuple[tuple[int, ...], ...]:
     """Canonical form of multisets under one joint shift, positive scale
     and reflection, ignoring their order.  Pairs with equal keys are the
-    same collision.
+    same collision.  The union is centred over the integers for ``_class_key``."""
+    rest = iter(centred_numerators([x for part in parts for x in part])[0])
+    return _class_key([tuple(sorted(next(rest) for _ in part)) for part in parts])
 
-    The union is centred over the integers and divided by its gcd; the key
-    is the lesser of the two reflections, a sorted tuple of sorted int
-    tuples, one per part.
-    """
-    centred, _ = centred_numerators([x for part in parts for x in part])
-    g = gcd(*centred) or 1  # all zeros when every element is equal
-    rest = iter(centred)
-    pieces = [[next(rest) // g for _ in part] for part in parts]
-    return min(
-        tuple(sorted(tuple(sorted(sign * v for v in piece)) for piece in pieces))
-        for sign in (1, -1)
-    )
 
+def _class_key(parts: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Ascending int parts whose union sums to 0, divided by their gcd: the lesser
+    of their sorted tuple and that of their reflections (reversed negations)."""
+    g = gcd(*chain.from_iterable(parts))  # 0 if all are 0
+    if g > 1:
+        parts = [tuple(v // g for v in part) for part in parts]
+    return min(tuple(sorted(parts)), tuple(sorted(tuple(map(neg, reversed(part))) for part in parts)))

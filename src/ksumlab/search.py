@@ -2,10 +2,10 @@
 
 Candidates are enumerated deterministically as their generating tuples and
 bucketed by one exact int each, their k-sum histogram packed by Kronecker
-substitution (see ``_chunk_pairs``); every pair sharing a bucket becomes a
-collision record.  Only the members of a shared bucket are keyed again, to
-check the bucket, and turned into numerators, then Fractions; the runs of
-one sorted k-sum multiset per bucket order its records.
+substitution (see ``_chunk_pairs``); every pair sharing a bucket is a
+collision.  Only the members of a shared bucket are keyed again, to check
+the bucket, and turned into int numerators; buckets are ordered by packed
+k-sums, pairs deduped on ints, and only kept pairs become Fraction records.
 Symmetric mode enumerates negation-symmetric sets only (both known
 12-element examples are symmetric), which keeps the (12, 4, B=8) space at
 3003 candidates; general mode walks one representative per shift class of
@@ -37,19 +37,21 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import sys
 from contextlib import ExitStack, closing
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, groupby, islice
+from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .multisets import (
     NumberMultiset,
     Record,
+    _class_key,
     approximate,
     check_sum_count,
-    collision_class_key,
+    collision_class_key,  # imported from here by the acceptance tests
     comb_at_least,
     ksums,
 )
@@ -60,9 +62,9 @@ CHUNK_SIZE = 256
 # numerator and 1 per 8 bits of the widest key.  Generating tuples hold less than
 # that: symmetric (12, 4, B=20), priced at 189 MB, peaks near 107 MB.
 MAX_LISTING_BYTES = 200_000_000
-# A shared bucket builds its C(n, k) sums, about 0.4 us each, to order its records,
-# and each pair in it becomes a record, about 50 us with its share of the bucket's
-# fixed cost, so priced as 125 sums; general (6, 3, B=22), at 5.85 million, takes 5 s.
+# A shared bucket builds its C(n, k) sums, about 0.3 us each, to order its pairs, and
+# each pair in it is deduped on ints and, when kept, made a record, about 20 us in all,
+# still priced as 125 sums; general (6, 3, B=22), at 5.85 million, takes about 2 s.
 MAX_BUCKET_WORK = 6_000_000
 
 
@@ -317,16 +319,31 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
     return done, intact > 0
 
 
-def _runs_key(ascending: Sequence[int], scale: int) -> tuple[int, ...]:
-    """``v * scale, -count`` for each run of equal values in ``ascending``, in
-    one flat tuple, which holds no tuple per run.
+def _sums_key(spec: SearchSpec) -> Callable[[tuple[int, ...]], bytes]:
+    """A key that sorts candidates' numerators as their ascending k-sums sort: the
+    sums, each raised by ``top`` to at least 0, packed big-endian at one width into
+    one bytes.  Numerators are at most B in size, or (n - 1) * B in general mode, a
+    k-sum is minus the (n - k)-sum, and ``check_listing`` keeps ``top`` below 2**63."""
+    top = _key_arity(spec.n, spec.k)[0] * spec.bound * (1 if spec.symmetric_only else spec.n - 1)
+    code = next(code for code in "BHIQ" if 2 * top < 256 ** struct.calcsize(">" + code))
+    pack, k = struct.Struct(f">{comb(spec.n, spec.k)}{code}").pack, spec.k
+    return lambda nums: pack(*sorted(map(top.__add__, map(sum, combinations(nums, k)))))
 
-    Ascending sequences of one length sort by it as they sort themselves: at
-    the first run where two differ, the lesser value comes first in both, and
-    of two equal values the longer run, as its sequence then holds that value
-    where the other holds a larger one.
-    """
-    return tuple(chain.from_iterable((v * scale, -sum(1 for _ in run)) for v, run in groupby(ascending)))
+
+Pair = tuple[tuple[int, ...], tuple[int, ...]]  # two ascending numerator tuples, centred, over one denominator
+
+
+def _kept_pairs(pairs: Iterable[Pair]) -> list[Pair]:
+    """The first pair of each affine equivalence class, in order; the members
+    are centred, so ``_class_key`` keys the class as ``collision_class_key``
+    does their Fractions."""
+    kept, seen = [], set()
+    for pair in pairs:
+        key = _class_key(pair)
+        if key not in seen:
+            seen.add(key)
+            kept.append(pair)
+    return kept
 
 
 def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None = None) -> list[CollisionRecord]:
@@ -375,33 +392,18 @@ def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None =
     # again, to check that each bucket holds equal keys.
     rekeyed = iter(_chunk_pairs((spec.k, spec.symmetric_only, list(chain.from_iterable(shared)))) if shared else ())
     # Buckets have distinct k-sums, so sorting them by sums, then members, orders the
-    # records as (sums, first, second); every sum's denominator divides den.
-    den, buckets = 1 if spec.symmetric_only else spec.n, []
+    # pairs as (sums, first, second).
+    sums_key, buckets = _sums_key(spec), []
     for members in shared:
         if len(set(islice(rekeyed, len(members)))) > 1:
             source = f"checkpoint {checkpoint}" if checkpoint else "keying"
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
         members[:] = sorted(_numerators(g, spec.symmetric_only) for g in members)
-        sums = ksums(members[0], spec.k, den)
-        buckets.append((_runs_key(sums.numerators, den // sums.denominator), members))
-    fraction = {v: Fraction(v, den) for v in {v for _, members in buckets for nums in members for v in nums}}
-    return dedupe_records([
-        CollisionRecord(x, y, spec.k)
-        for _, members in sorted(buckets)
-        for x, y in combinations([tuple(map(fraction.__getitem__, nums)) for nums in members], 2)
-    ])
-
-
-def dedupe_records(records: Sequence[CollisionRecord]) -> list[CollisionRecord]:
-    """Keep one record per affine equivalence class, preserving order."""
-    kept: list[CollisionRecord] = []
-    seen: set = set()
-    for record in records:
-        key = collision_class_key(record.first, record.second)
-        if key not in seen:
-            seen.add(key)
-            kept.append(record)
-    return kept
+        buckets.append((sums_key(members[0]), members))
+    kept = _kept_pairs(pair for _, members in sorted(buckets) for pair in combinations(members, 2))
+    den = 1 if spec.symmetric_only else spec.n  # the denominator of every numerator
+    fraction = {v: Fraction(v, den) for v in {v for pair in kept for nums in pair for v in nums}}
+    return [CollisionRecord(*(tuple(map(fraction.__getitem__, nums)) for nums in pair), spec.k) for pair in kept]
 
 
 def verify_record(record: CollisionRecord) -> bool:

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksumlab.known import COLLISION_FIRST, COLLISION_SECOND, DOUBLE_ROOT_SET
@@ -26,6 +26,7 @@ from ksumlab.multisets import (
     parse_multiset,
     power_sum,
     power_sum_vector,
+    _class_key,
     _power_sums,
 )
 from power_sum_oracles import centred_power_sums
@@ -270,6 +271,29 @@ def test_collision_class_key_constant_on_orbits(data):
     key = collision_class_key(*parts)
     assert collision_class_key(*(affine_image(part, t, c) for part in parts)) == key
     assert collision_class_key(*reversed(parts)) == key
+
+
+def _centred_parts(raw):
+    """The parts of ``raw`` after centring their union over the integers, each ascending."""
+    union = [v for part in raw for v in part]
+    rest = iter(len(union) * v - sum(union) for v in union)
+    return [tuple(sorted(next(rest) for _ in part)) for part in raw]
+
+
+_int_parts = st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=6), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_parts, st.integers(1, 60), st.integers(1, 7), st.integers(0, 4))
+@example([[0, 0], [0]], 3, 2, 0)  # every element zero
+def test_int_class_key_matches_collision_class_key(raw, den, scale, zeros):
+    parts = _centred_parts(raw) + [(0,) * zeros] * bool(zeros)  # an all-zero member keeps the union centred
+    key = _class_key(parts)
+    assert key == collision_class_key(*(tuple(Fraction(v, den) for v in part) for part in parts))
+    scaled = [tuple(scale * v for v in part) for part in parts]
+    reflected = [tuple(-v for v in reversed(part)) for part in parts]
+    for copy in (scaled, reflected, parts[::-1], reflected[::-1]):
+        assert _class_key(copy) == key
 
 
 @settings(max_examples=150, deadline=None)

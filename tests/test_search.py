@@ -28,7 +28,6 @@ from ksumlab.search import (
     CollisionRecord,
     SearchSpec,
     collision_class_key,
-    dedupe_records,
     find_collisions,
     verify_record,
 )
@@ -115,23 +114,55 @@ def test_determinism_across_workers():
     assert find_collisions(spec, workers=1) == find_collisions(spec, workers=4)
 
 
+def _fraction_dedupe(records):
+    """The first record of each affine class, keyed on its Fractions: the
+    reference that the search's int dedupe must agree with."""
+    kept, seen = [], set()
+    for record in records:
+        key = collision_class_key(record.first, record.second)
+        if key not in seen:
+            seen.add(key)
+            kept.append(record)
+    return kept
+
+
+def _over(nums, den):
+    return tuple(Fraction(v, den) for v in nums)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda size: st.lists(
-    st.lists(st.integers(-4, 4), min_size=size, max_size=size).map(lambda v: tuple(sorted(v))),
-    min_size=2, max_size=10)), st.integers(1, 6))
-def test_runs_key_sorts_like_the_sequences(sequences, scale):
+@given(st.data())
+def test_sums_key_sorts_like_the_k_sums(data):
+    symmetric = data.draw(st.booleans())
+    n = data.draw(st.sampled_from([2, 4, 6, 8]) if symmetric else st.integers(1, 8))
+    # bounds whose keys pack each sum into 1, 2, 4 and 8 bytes
+    bound = data.draw(st.sampled_from([0, 1, 3, 8, 40, 300, 5000, 10**8]))
+    spec = SearchSpec(n, data.draw(st.integers(1, n)), bound, symmetric)
+    m = n // 2 if symmetric else n - 1
+    value = st.integers(0, bound)
+    generators = data.draw(st.lists(st.lists(value, min_size=m, max_size=m).map(lambda v: tuple(sorted(v))), max_size=8))
+    # among these are the candidates whose k-sums are largest in size
+    generators += [(0,) * (m - j) + (bound,) * j for j in range(m + 1)]
+    candidates = [search._numerators(g, symmetric) for g in generators]
     # find_collisions orders buckets by it in place of their whole k-sum tuples
-    assert sorted(sequences, key=lambda v: search._runs_key(v, scale)) == sorted(sequences)
+    key = search._sums_key(spec)
+    by_sums = sorted(candidates, key=lambda nums: sorted(map(sum, itertools.combinations(nums, spec.k))))
+    assert sorted(candidates, key=key) == by_sums
 
 
 def test_dedupe_collapses_affine_copies():
     deduped = find_collisions(SearchSpec(n=4, k=2, bound=7))
     keys = [collision_class_key(r.first, r.second) for r in deduped]
     assert len(set(keys)) == len(keys)
-    assert dedupe_records(deduped) == deduped
+    assert _fraction_dedupe(deduped) == deduped
     first = deduped[0]
     copy = CollisionRecord(affine_image(first.second, -3, 5), affine_image(first.first, -3, 5), first.k)
-    assert dedupe_records([first, copy, *deduped[1:]]) == deduped
+    assert _fraction_dedupe([first, copy, *deduped[1:]]) == deduped
+    # the search's int dedupe, on numerators over 4: a scaled reflection of the swapped pair is a copy
+    pairs = [tuple(tuple(int(4 * v) for v in member) for member in (r.first, r.second)) for r in deduped]
+    x, y = pairs[0]
+    image = tuple(-3 * v for v in reversed(y)), tuple(-3 * v for v in reversed(x))
+    assert search._kept_pairs([pairs[0], image, *pairs[1:]]) == pairs
 
 
 def test_collision_class_key_invariances():
@@ -572,24 +603,49 @@ def test_format_two_checkpoint_is_refused(tmp_path):
     assert ck.read_bytes() == before
 
 
-@pytest.mark.parametrize("spec", [SearchSpec(6, 3, 8), SearchSpec(4, 2, 7), SearchSpec(8, 2, 8, True)], ids=str)
-def test_raw_records_are_every_pair_of_equal_k_sums(monkeypatch, spec):
+def _capture_pairs(monkeypatch):
+    """Every pair that reaches the search's dedupe, in order, as it arrives."""
     raw = []
 
-    def capture(records):
-        raw.extend(records)
-        return dedupe_records(records)
+    def capture(pairs):
+        pairs = list(pairs)
+        raw.extend(pairs)
+        return kept_pairs(pairs)
 
-    monkeypatch.setattr(search, "dedupe_records", capture)
-    find_collisions(spec)
+    kept_pairs = search._kept_pairs
+    monkeypatch.setattr(search, "_kept_pairs", capture)
+    return raw
+
+
+@pytest.mark.parametrize("spec", [SearchSpec(6, 3, 8), SearchSpec(4, 2, 7), SearchSpec(8, 2, 8, True)], ids=str)
+def test_raw_records_are_every_pair_of_equal_k_sums(monkeypatch, spec):
+    raw = _capture_pairs(monkeypatch)
+    records = find_collisions(spec)
     buckets = {}
     for candidate in _fraction_candidates(spec):
         buckets.setdefault(ksums(candidate, spec.k).sums, []).append(candidate)
     expected = [
         (x, y) for sums in sorted(buckets) for x, y in itertools.combinations(sorted(buckets[sums]), 2)
     ]
-    assert expected and [(r.first, r.second) for r in raw] == expected
-    assert all(type(v) is Fraction for r in raw for v in r.first + r.second)
+    den = 1 if spec.symmetric_only else spec.n
+    assert all(type(v) is int for pair in raw for nums in pair for v in nums)
+    assert expected and [(_over(x, den), _over(y, den)) for x, y in raw] == expected
+    assert records == _fraction_dedupe([CollisionRecord(x, y, spec.k) for x, y in expected])
+
+
+# Digests taken on the code that built a Fraction record of every pair and deduped the
+# records on collision_class_key; raw is the number of pairs, kept the number of records.
+@pytest.mark.parametrize("spec, raw, kept, digest", [
+    (SearchSpec(4, 2, 7), 50, 39, "2614bf0cf7036a1694c9b2a2df856bca4259a7a892af34c0b8f4168f3313cea8"),
+    (SearchSpec(4, 4, 3), 190, 98, "282dd9a68279ca60d2ea4a050c3ae36a3a441f3bfe0e8c291e207a94f0131125"),
+    (SearchSpec(8, 2, 12), 147, 126, "ec64c8ccdeda86bbac2dae673c2f4e197e22ed76ce562f043456add34bf723a4"),
+    (SearchSpec(8, 2, 8, True), 89, 80, "51881f55fe4f294dcb9921f68acb8f48167e1e63dad7bedf8562f323ce1ed87a"),
+], ids=str)
+def test_deduped_records_match_their_digest(monkeypatch, spec, raw, kept, digest):
+    pairs = _capture_pairs(monkeypatch)
+    records = find_collisions(spec)
+    assert (len(pairs), len(records)) == (raw, kept)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 def test_checkpoint_keys_that_merge_different_sums_are_refused(tmp_path):
