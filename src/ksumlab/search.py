@@ -43,7 +43,7 @@ from contextlib import ExitStack, closing
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .multisets import (
     NumberMultiset,
@@ -62,9 +62,10 @@ CHUNK_SIZE = 256
 # numerator and 1 per 8 bits of the widest key.  Generating tuples hold less than
 # that: symmetric (12, 4, B=20), priced at 189 MB, peaks near 107 MB.
 MAX_LISTING_BYTES = 200_000_000
-# A shared bucket builds its C(n, k) sums, about 0.3 us each, to order its pairs, and
-# each pair in it is deduped on ints and, when kept, made a record, about 20 us in all,
-# still priced as 125 sums; general (6, 3, B=22), at 5.85 million, takes about 2 s.
+# A shared bucket builds its C(n, k) sums by ksums, 0.3-0.5 us each, to order its
+# pairs, and each pair in it is deduped on ints and, when kept, made a record, about
+# 20 us in all, still priced as 125 sums; general (6, 3, B=22), at 5.85 million, takes
+# about 2 s.
 MAX_BUCKET_WORK = 6_000_000
 
 
@@ -321,22 +322,23 @@ def _load_checkpoint(path: str, spec: SearchSpec, sizes: list[int]) -> tuple[dic
 
 def _sums_key(spec: SearchSpec) -> Callable[[tuple[int, ...]], bytes]:
     """A key that sorts candidates' numerators as their ascending k-sums sort: the
-    sums, each raised by ``top`` to at least 0, packed big-endian at one width into
-    one bytes.  Numerators are at most B in size, or (n - 1) * B in general mode, a
-    k-sum is minus the (n - k)-sum, and ``check_listing`` keeps ``top`` below 2**63."""
+    ``ksums`` of the numerators as ints, each raised by ``top`` to at least 0,
+    packed big-endian at one width into one bytes.  Numerators are at most B in
+    size, or (n - 1) * B in general mode, a k-sum is minus the (n - k)-sum, and
+    ``check_listing`` keeps ``top`` below 2**63."""
     top = _key_arity(spec.n, spec.k)[0] * spec.bound * (1 if spec.symmetric_only else spec.n - 1)
     code = next(code for code in "BHIQ" if 2 * top < 256 ** struct.calcsize(">" + code))
     pack, k = struct.Struct(f">{comb(spec.n, spec.k)}{code}").pack, spec.k
-    return lambda nums: pack(*sorted(map(top.__add__, map(sum, combinations(nums, k)))))
+    return lambda nums: pack(*map(top.__add__, ksums(nums, k, 1).numerators))
 
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # two ascending numerator tuples, centred, over one denominator
 
 
-def _kept_pairs(pairs: Iterable[Pair]) -> list[Pair]:
-    """The first pair of each affine equivalence class, in order; the members
-    are centred, so ``_class_key`` keys the class as ``collision_class_key``
-    does their Fractions."""
+def dedupe_records(pairs: Sequence[Pair]) -> list[Pair]:
+    """The search's records as int pairs: the first pair of each affine equivalence
+    class, in order.  The members are centred, so ``_class_key`` keys the class as
+    ``collision_class_key`` does their Fractions."""
     kept, seen = [], set()
     for pair in pairs:
         key = _class_key(pair)
@@ -400,7 +402,7 @@ def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None =
             raise ValueError(f"{source} put candidates with different {spec.k}-sums in one bucket")
         members[:] = sorted(_numerators(g, spec.symmetric_only) for g in members)
         buckets.append((sums_key(members[0]), members))
-    kept = _kept_pairs(pair for _, members in sorted(buckets) for pair in combinations(members, 2))
+    kept = dedupe_records([pair for _, members in sorted(buckets) for pair in combinations(members, 2)])
     den = 1 if spec.symmetric_only else spec.n  # the denominator of every numerator
     fraction = {v: Fraction(v, den) for v in {v for pair in kept for nums in pair for v in nums}}
     return [CollisionRecord(*(tuple(map(fraction.__getitem__, nums)) for nums in pair), spec.k) for pair in kept]

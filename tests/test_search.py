@@ -162,7 +162,7 @@ def test_dedupe_collapses_affine_copies():
     pairs = [tuple(tuple(int(4 * v) for v in member) for member in (r.first, r.second)) for r in deduped]
     x, y = pairs[0]
     image = tuple(-3 * v for v in reversed(y)), tuple(-3 * v for v in reversed(x))
-    assert search._kept_pairs([pairs[0], image, *pairs[1:]]) == pairs
+    assert search.dedupe_records([pairs[0], image, *pairs[1:]]) == pairs
 
 
 def test_collision_class_key_invariances():
@@ -608,12 +608,11 @@ def _capture_pairs(monkeypatch):
     raw = []
 
     def capture(pairs):
-        pairs = list(pairs)
         raw.extend(pairs)
-        return kept_pairs(pairs)
+        return dedupe_records(pairs)
 
-    kept_pairs = search._kept_pairs
-    monkeypatch.setattr(search, "_kept_pairs", capture)
+    dedupe_records = search.dedupe_records
+    monkeypatch.setattr(search, "dedupe_records", capture)
     return raw
 
 
