@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import Monomial, Poly, svar
 from .elimination import (
@@ -228,7 +229,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     return OK if records else NEGATIVE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first call.  Each subcommand
+    runs ``cmd_<name>``, looked up when it runs, so the parser holds no handler."""
     parser = argparse.ArgumentParser(
         prog="ksumlab",
         description="Exact tools for reconstructing integer multisets from k-sums.",
@@ -239,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ksums.add_argument("set", help='set literal like "1 -2 0^3" or @file')
     p_ksums.add_argument("-k", type=int, required=True, help="sum arity")
     p_ksums.add_argument("--json", action="store_true", help="machine-readable output")
-    p_ksums.set_defaults(func=cmd_ksums)
 
     p_collide = sub.add_parser("collide", help="compare the k-sum multisets of two sets")
     p_collide.add_argument("first", help="first set literal or @file")
@@ -249,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="second set literal or @file; omit when the first @file holds both",
     )
     p_collide.add_argument("-k", type=int, required=True, help="sum arity")
-    p_collide.set_defaults(func=cmd_collide)
 
     p_expand = sub.add_parser(
         "expand", help="expand the p-th power sum of all k-sums in S-variables"
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare against the bundled reference identities (implies --s1-zero;"
         " KSUMLAB_FIXTURES overrides the fixture file)",
     )
-    p_expand.set_defaults(func=cmd_expand)
 
     p_elim = sub.add_parser("eliminate", help="quadratic, second root and residual checks")
     group = p_elim.add_mutually_exclusive_group(required=True)
@@ -284,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--residuals", metavar="SET", help="print the exact compatibility residuals"
     )
-    p_elim.set_defaults(func=cmd_eliminate)
 
     p_search = sub.add_parser("search", help="bounded exhaustive collision search")
     p_search.add_argument("-n", type=int, required=True, help="set size")
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--resume", metavar="FILE", help="checkpoint file")
     p_search.add_argument("--out", metavar="FILE", help="write records here instead of stdout")
-    p_search.set_defaults(func=cmd_search)
 
     return parser
 
@@ -311,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # the one usage-error boundary
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

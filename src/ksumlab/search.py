@@ -3,15 +3,16 @@
 Candidates are enumerated deterministically as their generating tuples and
 bucketed by one exact int each, their k-sum histogram packed by Kronecker
 substitution (see ``_chunk_pairs``); every pair sharing a bucket is a
-collision.  Only the members of a shared bucket are keyed again, to check
-the bucket, and turned into int numerators; buckets are ordered by packed
-k-sums, pairs deduped on ints, and only kept pairs become Fraction records.
-Symmetric mode enumerates negation-symmetric sets only (both known
-12-element examples are symmetric), which keeps the (12, 4, B=8) space at
-3003 candidates; general mode walks one representative per shift class of
-the nondecreasing tuples from {0..B}, the one starting at 0, centred to
-sum zero, and is exponential in n.  ``check_listing`` refuses, before
-any work, a space whose candidates and keys would hold more than
+collision.  A bucket holds its first candidate bare and becomes a list
+only when a second arrives.  Only the members of a shared bucket are keyed
+again, to check the bucket, and turned into int numerators; buckets are
+ordered by packed k-sums, pairs deduped on ints, and only kept pairs become
+Fraction records.  Symmetric mode enumerates negation-symmetric sets only
+(both known 12-element examples are symmetric), which keeps the (12, 4, B=8)
+space at 3003 candidates; general mode walks one representative per shift
+class of the nondecreasing tuples from {0..B}, the one starting at 0,
+centred to sum zero, and is exponential in n.  ``check_listing`` refuses,
+before any work, a space whose candidates and keys would hold more than
 ``MAX_LISTING_BYTES``; as the keyed candidates are bucketed, a space is
 refused as soon as the records and the k-sums of its shared buckets would
 cost more than ``MAX_BUCKET_WORK``, before any record or k-sum is built.
@@ -26,7 +27,8 @@ than one worker needs Linux: elsewhere ``os.fork`` is missing, or, on macOS,
 unsafe without an exec once system libraries have started threads.  A
 checkpoint file holds a header fixing the search, then one JSON line of hex
 keys per chunk, written as the chunk's keys arrive; a resumed run enumerates
-the candidates again and keys only missing chunks.
+the candidates again and keys only missing chunks.  A chunk line is written
+as text, the bytes ``json.dumps({"chunk": i, "keys": [hex, ...]})`` gives.
 
 ``verify_record`` checks a record by its k-sums alone, so this module needs
 only ``multisets``; whether a 12-set's (12, 4) residuals vanish is for
@@ -43,6 +45,7 @@ from contextlib import ExitStack, closing
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb
+from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .multisets import (
@@ -155,38 +158,70 @@ def _chunk_pairs(args: tuple[int, bool, Sequence[Generator]]) -> list[Key]:
     ``_key_arity``, is the coefficient of y^j z^s in the product of
     (1 + y z^offset), taken in one int: z is a bin of w bits, wider than any
     count, y a level of j * span + 1 bins; levels above j are masked off.
-    ``stack`` holds the product at each prefix of the previous generator, so
-    a candidate multiplies in only its values after the prefix it shares.
-    The key is level j shifted down to its lowest nonzero bin, the sum of the
-    j least offsets.  Candidates are centred, so two share a key exactly when
-    their k-sums are equal.
+    A shift only moves bins up and a carry only runs up, so no bit above the
+    mask ever reaches a level at or below j, which is all that is read: a
+    symmetric value multiplies in both its factors before one mask.
+
+    ``stack`` holds the product P at each prefix of the previous generator's
+    values but the last, so a candidate multiplies in only the values after
+    the prefix it shares; in enumeration order most candidates share all of
+    them, which one slice compare finds.  The last value v is not multiplied
+    in: level j of the whole product is P_j + P_{j-1} z^v, or, in symmetric
+    mode, P_j + P_{j-1} (z^(hi-v) + z^(hi+v)) + P_{j-2} z^(2 hi), P_i level i
+    of P.  Each prefix sets ``fixed``, levels j - 1 and j of P plus the
+    P_{j-2} term placed at level j, and ``under``, P_{j-1}; a candidate adds
+    ``under`` at its shifts to ``fixed`` and shifts the sum down past level
+    j - 1 and to its lowest nonzero bin, the sum of the j least offsets.
+    That is its key.  Candidates are centred, so two share a key exactly
+    when their k-sums are equal.
     """
     k, symmetric, chunk = args
     m = len(chunk[0])
     j, width = _key_arity(2 * m if symmetric else m + 1, k)
-    hi = max(g[-1] for g in chunk) if m else 0
+    if not j:  # k = n: every candidate's one n-sum is 0
+        return [1] * len(chunk)
+    hi = max(map(itemgetter(-1), chunk))
     level = (j * (2 * hi if symmetric else hi) + 1) * width
     top = j * level
-    mask = (1 << (top + level)) - 1
-    stack = [1 if symmetric else (1 + (1 << level)) & mask]  # in general mode, the factor of offset 0
-    previous, keys = (), []
+    mask, bins = (1 << (top + level)) - 1, (1 << level) - 1
+    # the shift of each value's factors: offset hi + v and hi - v, or v in general mode
+    above = [level + (hi + v if symmetric else v) * width for v in range(hi + 1)]
+    below = [level + (hi - v) * width for v in range(hi + 1)]
+    stack = [1 if symmetric else 1 + (1 << level)]  # in general mode, the factor of offset 0
+    cut, last, keys = m - 1, None, []
     for g in chunk:
-        p = 0  # the length of the prefix g shares with the previous generator
-        for a, b in zip(g, previous):
-            if a != b:
-                break
-            p += 1
-        del stack[p + 1 :]
-        packed = stack[-1]
-        for v in g[p:]:
+        prefix = g[:cut]
+        if prefix != last:
+            p = 0  # the length of the prefix shared with the previous generator
+            for a, b in zip(prefix, last or ()):
+                if a != b:
+                    break
+                p += 1
+            last = prefix
+            del stack[p + 1 :]
+            packed = stack[-1]
             if symmetric:
-                packed = (packed + (packed << (level + (hi - v) * width))) & mask
-                v += hi
-            packed = (packed + (packed << (level + v * width))) & mask
-            stack.append(packed)
-        previous = g
-        lowest = (j * hi - sum(g[m - j :]) if symmetric else sum(g[: j - 1])) if j else 0
-        keys.append(packed >> (top + lowest * width))
+                for v in prefix[p:]:
+                    packed += packed << below[v]
+                    packed = (packed + (packed << above[v])) & mask
+                    stack.append(packed)
+            else:
+                for v in prefix[p:]:
+                    packed = (packed + (packed << above[v])) & mask
+                    stack.append(packed)
+            fixed = packed >> (top - level)
+            under = fixed & bins
+            if symmetric:
+                if j > 1:
+                    fixed += (packed >> (top - 2 * level) & bins) << (level + 2 * hi * width)
+                down = level + (j * hi - sum(prefix[m - j :])) * width  # a last value v lowers it by v * width
+            else:
+                down = level + sum(prefix[: j - 1]) * width
+        v = g[-1]
+        if symmetric:
+            keys.append((fixed + (under << below[v]) + (under << above[v])) >> (down - v * width))
+        else:
+            keys.append((fixed + (under << above[v])) >> down)
     return keys
 
 
@@ -362,7 +397,7 @@ def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None =
     done, has_header = _load_checkpoint(checkpoint, spec, sizes) if checkpoint else ({}, False)
     pending = [i for i in range(len(chunks)) if i not in done]
     sum_count = comb(spec.n, spec.k)
-    groups: dict[Key, list[Generator]] = {}
+    groups: dict[Key, Generator | list[Generator]] = {}  # a key's first candidate, or its list once shared
     pair_count = bucket_count = 0
     with ExitStack() as stack:  # line-buffered: each line reaches the file as it is written
         out = stack.enter_context(open(checkpoint, "a", buffering=1, encoding="utf-8")) if checkpoint else None
@@ -372,14 +407,20 @@ def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None =
         # Candidates are bucketed as their keys arrive, so the bucket stage is refused
         # as soon as its price passes the ceiling.
         for chunk_id, keys in chain(done.items(), zip(pending, results)):
-            if out and chunk_id not in done:
-                print(json.dumps({"chunk": chunk_id, "keys": [format(key, "x") for key in keys]}), file=out)
+            if out and chunk_id not in done:  # the bytes of json.dumps({"chunk": ..., "keys": [hex, ...]})
+                out.write('{"chunk": %d, "keys": ["%s"]}\n' % (chunk_id, '", "'.join(map("%x".__mod__, keys))))
             for candidate, key in zip(chunks[chunk_id], keys):
-                members = groups.setdefault(key, [])
-                if members:  # a pair with each earlier member; the bucket is shared from the second
+                # the listed candidates are distinct tuples, so only a new key gives back this one
+                members = groups.setdefault(key, candidate)
+                if members is candidate:
+                    continue
+                if type(members) is list:  # a pair with each earlier member
                     pair_count += len(members)
-                    bucket_count += len(members) == 1
-                members.append(candidate)
+                    members.append(candidate)
+                else:  # the bucket is shared from the second member
+                    pair_count += 1
+                    bucket_count += 1
+                    groups[key] = [members, candidate]
             work = 125 * pair_count + bucket_count * sum_count
             if work > MAX_BUCKET_WORK:
                 raise ValueError(
@@ -388,7 +429,7 @@ def find_collisions(spec: SearchSpec, workers: int = 1, checkpoint: str | None =
                     f" {MAX_BUCKET_WORK} allowed; lower the bound, n or k"
                 )
 
-    shared = [members for members in groups.values() if len(members) > 1]
+    shared = [members for members in groups.values() if type(members) is list]
     del candidates, chunks, groups  # each generator is freed as it becomes numerators
     # Keys are chunk-independent, so one call keys every member of every shared bucket
     # again, to check that each bucket holds equal keys.

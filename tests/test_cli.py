@@ -9,7 +9,7 @@ import time
 import pytest
 
 import ksumlab
-from ksumlab import search
+from ksumlab import cli, search
 from ksumlab.cli import MAX_CERTIFY_BITS, main
 from ksumlab.multisets import MAX_SUMS, parse_multiset
 from ksumlab.search import collision_class_key
@@ -382,6 +382,48 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# A search forked and serial, JSON k-sums, the example roots, an argparse usage error
+# (-B missing) and a ValueError from the command (k > n).
+REUSE_CALLS = [
+    ("search", "-n", "8", "-k", "2", "-B", "8", "--symmetric", "--workers", "2"),
+    ("ksums", "1 2 3", "-k", "2", "--json"),
+    ("eliminate", "--example1"),
+    ("search", "-n", "8", "-k", "2"),
+    ("ksums", "1 2 3", "-k", "5"),
+    ("search", "-n", "8", "-k", "2", "-B", "8", "--symmetric"),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit {exc.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_acts_as_a_fresh_one(capsys):
+    cli.build_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in REUSE_CALLS * 2]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in REUSE_CALLS * 2:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused[: len(REUSE_CALLS)]] == [0, 0, 0, "SystemExit 2", 2, 0]
+    assert reused[0][1] == reused[5][1] != "" and "the following arguments are required: -B" in reused[3][2]
+
+
+def test_search_workers_default_to_one_after_a_call_with_more(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(search, "find_collisions", lambda spec, workers, checkpoint: seen.append(workers) or [])
+    for argv in (["--workers", "2"], [], ["--workers", "3"], []):
+        assert main(["search", "-n", "4", "-k", "2", "-B", "3", *argv]) == 1
+    assert seen == [2, 1, 3, 1]
 
 
 @pytest.mark.parametrize(

@@ -590,6 +590,27 @@ def test_checkpoints_written_by_numerator_keying_resume(tmp_path, spec, name, di
     assert resumed.startswith(cut) and hashlib.sha256(resumed).hexdigest() == digest
 
 
+# Chunk lines are written as text, not by json.dumps; each must still be the bytes json.dumps
+# gives for its own content.  (1, 1, 0) has one candidate, the empty tuple, and
+# (4, 2, 0) one candidate; each (2, 1, 256) space has 257, so its last chunk holds one.
+@pytest.mark.parametrize("spec, last", [
+    (SearchSpec(1, 1, 0), 1), (SearchSpec(4, 2, 0), 1), (SearchSpec(2, 1, 256), 1), (SearchSpec(2, 1, 256, True), 1),
+    (SearchSpec(8, 2, 8, True), 495 - search.CHUNK_SIZE), (SearchSpec(6, 3, 8), 1287 - 5 * search.CHUNK_SIZE),
+], ids=str)
+def test_chunk_lines_are_the_bytes_json_dumps_gives(tmp_path, spec, last):
+    ck = tmp_path / "progress.jsonl"
+    records = find_collisions(spec, checkpoint=str(ck))
+    header, *lines = ck.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert header == json.dumps({"header": search._checkpoint_header(spec)}) + "\n"
+    chunks = [json.loads(line) for line in lines]
+    assert [chunk["chunk"] for chunk in chunks] == list(range(len(lines)))
+    assert len(chunks[-1]["keys"]) == last
+    for line, chunk in zip(lines, chunks):
+        keys = [int(key, 16) for key in chunk["keys"]]
+        assert line == json.dumps({"chunk": chunk["chunk"], "keys": [format(key, "x") for key in keys]}) + "\n"
+    assert find_collisions(spec, checkpoint=str(ck)) == records == find_collisions(spec)
+
+
 def test_format_two_checkpoint_is_refused(tmp_path):
     spec = SearchSpec(n=4, k=2, bound=7)
     header = {"format": 2, "n": 4, "k": 2, "bound": 7, "symmetric": False, "chunk_size": search.CHUNK_SIZE}
@@ -786,6 +807,23 @@ def test_spaces_of_too_many_numerators_fail_fast():
         search.check_listing(spec)
 
 
+# At k = n every candidate shares one bucket; (6, 3, 8) has shared buckets of two and more.
+@pytest.mark.parametrize("spec", [SearchSpec(4, 4, 3), SearchSpec(6, 3, 8), SearchSpec(8, 2, 8, True)], ids=str)
+def test_the_bucket_rule_counts_every_pair_and_shared_bucket(monkeypatch, spec):
+    sizes = {}
+    for candidate in _fraction_candidates(spec):
+        sums = ksums(candidate, spec.k).sums
+        sizes[sums] = sizes.get(sums, 0) + 1
+    pairs, buckets = sum(comb(size, 2) for size in sizes.values()), sum(size > 1 for size in sizes.values())
+    assert max(sizes.values()) > 2
+    work = 125 * pairs + buckets * comb(spec.n, spec.k)
+    monkeypatch.setattr(search, "MAX_BUCKET_WORK", work - 1)  # passed only once the last chunk is bucketed
+    with pytest.raises(ValueError, match=f"at least {pairs} pairs .* in {buckets} buckets .* at least {work},"):
+        find_collisions(spec)
+    monkeypatch.setattr(search, "MAX_BUCKET_WORK", work)
+    assert find_collisions(spec)
+
+
 def test_the_bucket_rule_refuses_before_any_k_sum_is_built(monkeypatch):
     # 1540 candidates, listed and keyed at once; their 759 shared buckets would build
     # C(20, 10) = 184756 sums each, about a minute of work
@@ -794,6 +832,11 @@ def test_the_bucket_rule_refuses_before_any_k_sum_is_built(monkeypatch):
 
     monkeypatch.setattr(search, "ksums", no_sums)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="pairs of candidates with equal 10-sums"):
+    with pytest.raises(ValueError) as refused:
         find_collisions(SearchSpec(n=20, k=10, bound=3))
     assert time.perf_counter() - start < 2
+    # the counts the search gave while each bucket held a list from its first candidate
+    assert str(refused.value) == (
+        "the search space has at least 139 pairs of candidates with equal 10-sums, in 139 buckets of 184756 sums"
+        " each, costing at least 25698459, more than the 6000000 allowed; lower the bound, n or k"
+    )
